@@ -24,7 +24,6 @@ from .discrete_op import (
     Residual,
     SingularJacobianError,
     Tridiagonal,
-    apply_DN,
     jacobian,
     linearized_solve,
     phi_N,

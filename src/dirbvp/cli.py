@@ -89,7 +89,11 @@ def _parse_ns(value) -> tuple[int, ...]:
 
 
 def load_config(path) -> ProblemConfig:
-    """Read and validate a problem configuration file."""
+    """Read a problem configuration file and validate its fields and syntax.
+
+    Semantic errors, such as a v that uses x, surface when ``run`` builds
+    the problem.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -158,7 +162,6 @@ def load_config(path) -> ProblemConfig:
             except ParseError as exc:
                 raise ConfigError(f"field {key!r}: {exc}")
 
-    build_problem(config)  # surfaces semantic errors (bad fx, v using x, ...) at load time
     return config
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "Tridiagonal",
     "Residual",
     "SingularJacobianError",
-    "apply_DN",
     "residual",
     "jacobian",
     "solve_tridiagonal",
@@ -79,9 +78,6 @@ class Tridiagonal:
         out[1:] += self.sub * h[:-1]
         return out
 
-    def transpose(self) -> "Tridiagonal":
-        return Tridiagonal(sub=self.sup, diag=self.diag, sup=self.sub)
-
 
 @dataclass(frozen=True)
 class Residual:
@@ -91,13 +87,6 @@ class Residual:
 
 def _interior_nodes(n: int) -> np.ndarray:
     return np.arange(1, n) / n
-
-
-def apply_DN(spec: ProblemSpec, x: GridFunction) -> GridFunction:
-    """Apply the difference operator; boundary entries are zero."""
-    t = _interior_nodes(x.n)
-    f_vals = evaluate(spec.f, t, x.interior)
-    return GridFunction.from_interior(second_difference(x) - f_vals / x.n**2)
 
 
 def residual(spec: ProblemSpec, x: GridFunction) -> Residual:

@@ -204,7 +204,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is out of range", pos)
+            return Num(value)
         if kind == "name":
             if text in ("t", "x"):
                 return Var(text)
@@ -235,18 +238,12 @@ def parse(text: str) -> Expr:
 def _operand(value):
     if isinstance(value, np.ndarray):
         return value.astype(float, copy=False)
-    return float(value)
-
-
-def _check_finite(value, what: str):
-    if not np.all(np.isfinite(value)):
-        raise EvalError(f"non-finite result in {what}")
-    return value
+    return np.float64(value)
 
 
 def _eval(node: Expr, t, x):
     if isinstance(node, Num):
-        return node.value
+        return np.float64(node.value)
     if isinstance(node, Var):
         return t if node.name == "t" else x
     if isinstance(node, Neg):
@@ -257,21 +254,21 @@ def _eval(node: Expr, t, x):
             return _eval_power(left, node.right)
         right = _eval(node.right, t, x)
         if node.op == "+":
-            return _check_finite(left + right, "'+'")
+            return left + right
         if node.op == "-":
-            return _check_finite(left - right, "'-'")
+            return left - right
         if node.op == "*":
-            return _check_finite(left * right, "'*'")
+            return left * right
         if node.op == "/":
             if np.any(right == 0.0):
                 raise EvalError("division by zero")
-            return _check_finite(left / right, "'/'")
+            return left / right
         raise EvalError(f"unknown operator {node.op!r}")
     if isinstance(node, Call):
         arg = _eval(node.arg, t, x)
         if node.fn == "sqrt" and np.any(arg < 0.0):
             raise EvalError("sqrt of a negative value")
-        return _check_finite(_FUNCTIONS[node.fn](arg), node.fn)
+        return _FUNCTIONS[node.fn](arg)
     raise EvalError(f"unknown node {node!r}")
 
 
@@ -282,10 +279,9 @@ def _eval_power(base, exponent: Expr):
     if c == round(c):
         if c < 0 and np.any(base == 0.0):
             raise EvalError("zero base with a negative exponent")
-        return _check_finite(np.power(base, c), "'^'")
-    if np.any(base <= 0.0):
+    elif np.any(base <= 0.0):
         raise EvalError("non-integer power of a non-positive base")
-    return _check_finite(np.power(base, c), "'^'")
+    return np.power(base, c)
 
 
 def evaluate(expr: Expr, t=0.0, x=0.0):
@@ -293,13 +289,22 @@ def evaluate(expr: Expr, t=0.0, x=0.0):
 
     Scalars in give a float back; numpy arrays broadcast and give an
     array of the broadcast shape.  Domain failures (division by zero,
-    sqrt of a negative, invalid powers, overflow) raise EvalError rather
-    than propagating NaN or infinity.
+    sqrt of a negative, invalid powers, overflow) and non-finite t or x
+    raise EvalError rather than propagating NaN or infinity.  Underflow
+    to zero is not an error.
     """
     t = _operand(t)
     x = _operand(x)
-    with np.errstate(all="ignore"):
-        result = _eval(expr, t, x)
+    if not (np.isfinite(t).all() and np.isfinite(x).all()):
+        raise EvalError("non-finite input")
+    # From finite inputs and constants only an operation that sets the
+    # overflow, invalid or divide-by-zero flag yields inf or NaN.  Every
+    # operand is numpy: Python-float arithmetic sets no flags.
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            result = _eval(expr, t, x)
+    except FloatingPointError as exc:
+        raise EvalError(f"non-finite result: {exc}") from exc
     shape = np.broadcast_shapes(np.shape(t), np.shape(x))
     if shape == ():
         return float(result)

@@ -75,9 +75,9 @@ def merit(spec: ProblemSpec, x: GridFunction) -> float:
 
 
 def merit_gradient(spec: ProblemSpec, x: GridFunction) -> np.ndarray:
-    """Gradient of the merit with respect to the interior values: J^T r."""
+    """Gradient of the merit with respect to the interior values: J^T r = J r."""
     r = residual(spec, x).vector
-    return jacobian(spec, x).transpose().matvec(r)
+    return jacobian(spec, x).matvec(r)
 
 
 def _stop_threshold(spec: ProblemSpec, n: int, tol: float) -> float:

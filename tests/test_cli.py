@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dirbvp import cli
 from dirbvp.cli import ConfigError, build_problem, load_config, main, run
 from dirbvp.convergence import ManufacturedProblem
 
@@ -207,3 +208,22 @@ def test_converge_deterministic_bytes(tmp_path):
     assert run("converge", config, output=str(first), seed=9) == 0
     assert run("converge", config, output=str(second), seed=9) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_check_builds_the_problem_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting_build(config):
+        calls.append(config.name)
+        return build_problem(config)
+
+    monkeypatch.setattr(cli, "build_problem", counting_build)
+    assert main(["check", "--config", str(write(tmp_path, F1_CONFIG))]) == 0
+    assert calls == ["f1"]
+
+
+def test_main_reports_forcing_that_uses_x(tmp_path, capsys):
+    path = write(tmp_path, QUAD_CONFIG.replace("v = 2", "v = x"))
+    assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "depend on t only" in err

@@ -4,7 +4,6 @@ import pytest
 from dirbvp.discrete_op import (
     SingularJacobianError,
     Tridiagonal,
-    apply_DN,
     jacobian,
     linearized_solve,
     phi_N,
@@ -19,6 +18,7 @@ F1 = "(t + sin(x))/(2*x^2 + 4)"
 ZERO_F = make_spec("0", "0", A=0.1, B=0.1, fx_lower=0.0)
 QUAD = make_spec("0", "2", A=0.1, B=0.1, fx_lower=0.0)
 F1_SPEC = make_spec(F1, "1", A=0.1, B=0.5, fx_lower=-0.25)
+F1_UNFORCED = make_spec(F1, "0", A=0.1, B=0.5, fx_lower=-0.25)
 
 
 def quadratic_solution(n):
@@ -26,23 +26,16 @@ def quadratic_solution(n):
     return GridFunction(n, (k**2 - n * k) / n**2)
 
 
-def test_apply_dn_reduces_to_second_difference_without_f():
+def test_residual_reduces_to_second_difference_without_f():
     rng = np.random.default_rng(1)
     x = random_element(12, rng)
-    out = apply_DN(ZERO_F, x)
-    assert out.values[0] == 0.0 and out.values[-1] == 0.0
-    np.testing.assert_allclose(out.interior, second_difference(x), rtol=1e-15)
+    out = residual(ZERO_F, x).vector
+    np.testing.assert_allclose(out, second_difference(x), rtol=1e-15)
 
 
-def test_apply_dn_quadratic():
-    out = apply_DN(ZERO_F, quadratic_solution(10))
-    np.testing.assert_allclose(out.interior, np.full(9, 0.02), atol=1e-16)
-
-
-def test_apply_dn_zero_input():
-    # an f vanishing at x = 0 maps the zero grid function to zero
-    spec = make_spec("sin(x)", "0", A=1.1, B=0.1, fx_lower=-1.1)
-    assert np.all(apply_DN(spec, GridFunction.zeros(8)).values == 0.0)
+def test_residual_quadratic_without_forcing():
+    out = residual(ZERO_F, quadratic_solution(10)).vector
+    np.testing.assert_allclose(out, np.full(9, 0.02), atol=1e-16)
 
 
 def test_residual_quadratic_is_exact():
@@ -51,9 +44,12 @@ def test_residual_quadratic_is_exact():
 
 
 def test_residual_zero_everywhere():
+    # an f vanishing at x = 0 maps the zero grid function to zero
     spec = make_spec("sin(x)", "0", A=1.1, B=0.1, fx_lower=-1.1)
-    r = residual(spec, GridFunction.zeros(10))
-    assert r.norm == 0.0
+    for n in (8, 10):
+        r = residual(spec, GridFunction.zeros(n))
+        assert np.all(r.vector == 0.0)
+        assert r.norm == 0.0
 
 
 def test_residual_constant_forcing():
@@ -209,14 +205,15 @@ def test_phi_coercivity_surrogate():
 
 
 def test_operator_coercivity_lower_bound():
-    # ||D x|| >= (1 - A) ||x||_E - B / N^(3/2) wherever the growth bound holds
+    # ||D x|| >= (1 - A) ||x||_E - B / N^(3/2) wherever the growth bound holds;
+    # with v = 0 the residual is D x
     rng = np.random.default_rng(21)
     for n in (4, 16, 64):
         for _ in range(50):
             x = random_element(n, rng, amplitude=5.0)
             m = norms(x)
-            lhs = norms(apply_DN(F1_SPEC, x)).n_norm
-            rhs = (1.0 - F1_SPEC.declared_A) * m.e_norm - F1_SPEC.declared_B / n**1.5
+            lhs = residual(F1_UNFORCED, x).norm
+            rhs = (1.0 - F1_UNFORCED.declared_A) * m.e_norm - F1_UNFORCED.declared_B / n**1.5
             assert lhs >= rhs - 1e-10
 
 

@@ -214,3 +214,169 @@ def test_format_expr_round_trips_through_parse():
         again = parse(format_expr(expr))
         for t, x in SAMPLE_POINTS:
             np.testing.assert_allclose(evaluate(again, t, x), evaluate(expr, t, x), rtol=1e-14)
+
+
+# Reference: the tree walk that checks every node's result for finiteness,
+# kept verbatim from before evaluate trapped floating-point flags instead.
+_REFERENCE_FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "atan": np.arctan,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+}
+
+
+def _reference_operand(value):
+    if isinstance(value, np.ndarray):
+        return value.astype(float, copy=False)
+    return float(value)
+
+
+def _reference_check_finite(value, what):
+    if not np.all(np.isfinite(value)):
+        raise EvalError(f"non-finite result in {what}")
+    return value
+
+
+def _reference_eval(node, t, x):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return t if node.name == "t" else x
+    if isinstance(node, Neg):
+        return -_reference_eval(node.arg, t, x)
+    if isinstance(node, BinOp):
+        left = _reference_eval(node.left, t, x)
+        if node.op == "^":
+            return _reference_eval_power(left, node.right)
+        right = _reference_eval(node.right, t, x)
+        if node.op == "+":
+            return _reference_check_finite(left + right, "'+'")
+        if node.op == "-":
+            return _reference_check_finite(left - right, "'-'")
+        if node.op == "*":
+            return _reference_check_finite(left * right, "'*'")
+        if node.op == "/":
+            if np.any(right == 0.0):
+                raise EvalError("division by zero")
+            return _reference_check_finite(left / right, "'/'")
+        raise EvalError(f"unknown operator {node.op!r}")
+    if isinstance(node, Call):
+        arg = _reference_eval(node.arg, t, x)
+        if node.fn == "sqrt" and np.any(arg < 0.0):
+            raise EvalError("sqrt of a negative value")
+        return _reference_check_finite(_REFERENCE_FUNCTIONS[node.fn](arg), node.fn)
+    raise EvalError(f"unknown node {node!r}")
+
+
+def _reference_eval_power(base, exponent):
+    if not isinstance(exponent, Num):
+        raise EvalError("exponent must be a constant")
+    c = exponent.value
+    if c == round(c):
+        if c < 0 and np.any(base == 0.0):
+            raise EvalError("zero base with a negative exponent")
+        return _reference_check_finite(np.power(base, c), "'^'")
+    if np.any(base <= 0.0):
+        raise EvalError("non-integer power of a non-positive base")
+    return _reference_check_finite(np.power(base, c), "'^'")
+
+
+def _reference_evaluate(expr, t=0.0, x=0.0):
+    t = _reference_operand(t)
+    x = _reference_operand(x)
+    with np.errstate(all="ignore"):
+        result = _reference_eval(expr, t, x)
+    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+    if shape == ():
+        return float(result)
+    return np.broadcast_to(np.asarray(result, dtype=float), shape).copy()
+
+
+def _domain_random_expr(rng, depth):
+    """Random trees that also reach the domain checks: bare division, sqrt,
+    abs, negative and fractional powers, and the constant 0."""
+    if depth == 0 or rng.integers(0, 4) == 0:
+        choice = rng.integers(0, 4)
+        if choice == 0:
+            return Num(float(rng.uniform(-3.0, 3.0)))
+        if choice == 1:
+            return Num(0.0)
+        return Var("t" if choice == 2 else "x")
+    kind = rng.integers(0, 6)
+    if kind <= 3:
+        op = "+-*/"[kind]
+        return BinOp(op, _domain_random_expr(rng, depth - 1), _domain_random_expr(rng, depth - 1))
+    if kind == 4:
+        c = float(rng.choice([-2.0, -1.0, 0.0, 0.5, 1.5, 3.0, 7.0]))
+        return BinOp("^", _domain_random_expr(rng, depth - 1), Num(c))
+    fn = str(rng.choice(list(_REFERENCE_FUNCTIONS)))
+    return Call(fn, _domain_random_expr(rng, depth - 1))
+
+
+def _outcome(fn, expr, t, x):
+    try:
+        return fn(expr, t, x)
+    except EvalError:
+        return EvalError
+
+
+def test_evaluate_matches_checked_reference_on_random_trees():
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([[0.0, -1e3, 1e3], rng.uniform(-1e3, 1e3, 20), rng.uniform(-2, 2, 20)])
+    ts = rng.uniform(0.0, 1.0, xs.size)
+    points = [(float(t), float(x)) for t, x in zip(ts[::7], xs[::7])]
+    points += [(ts, xs), (0.5, xs), (ts[:, None], xs[None, :8])]
+    raised = values = 0
+    for i in range(600):
+        maker = _random_expr if i % 2 == 0 else _domain_random_expr
+        expr = maker(rng, 4)
+        for t, x in points:
+            expected = _outcome(_reference_evaluate, expr, t, x)
+            got = _outcome(evaluate, expr, t, x)
+            if expected is EvalError:
+                assert got is EvalError, format_expr(expr)
+                raised += 1
+                continue
+            assert got is not EvalError, format_expr(expr)
+            assert type(got) is type(expected)
+            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(expected).view(np.int64))
+            values += 1
+    assert raised >= 100 and values >= 1000
+
+
+def test_evaluate_traps_overflow_of_scalars():
+    # Python-float arithmetic would give inf here without a flag
+    with pytest.raises(EvalError):
+        evaluate(parse("atan(1e200*1e200)"))
+    with pytest.raises(EvalError):
+        evaluate(parse("atan(x*x)"), 0.0, 1e200)
+
+
+def test_evaluate_traps_overflow_hidden_by_a_later_node():
+    # atan(inf) is finite, so only the trap at exp catches the overflow
+    with pytest.raises(EvalError):
+        evaluate(parse("atan(exp(x))"), 0.0, 1000.0)
+    with pytest.raises(EvalError):
+        evaluate(parse("atan(exp(x))"), 0.0, np.array([0.0, 1000.0]))
+
+
+def test_evaluate_underflow_is_zero():
+    assert evaluate(parse("exp(x)"), 0.0, -1000.0) == 0.0
+    assert np.all(evaluate(parse("exp(x)"), 0.0, np.array([-1000.0, -800.0])) == 0.0)
+
+
+def test_evaluate_rejects_non_finite_input():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(EvalError, match="non-finite input"):
+            evaluate(parse("x + 1"), 0.0, bad)
+        with pytest.raises(EvalError, match="non-finite input"):
+            evaluate(parse("x + 1"), np.array([0.0, bad]), 0.0)
+
+
+def test_parse_rejects_out_of_range_number():
+    # an overflowing literal would enter evaluation as inf, where no flag is set
+    with pytest.raises(ParseError, match="out of range"):
+        parse("1e400*x")
