@@ -268,10 +268,9 @@ def _run_solve(config: ProblemConfig, output) -> int:
     spec = _spec_of(build_problem(config))
     report = newton_solve(spec, config.n, _solver_config(config))
 
-    rows = ["k,t,x"]
-    for k, (t, x) in enumerate(zip(report.solution.nodes, report.solution.values)):
-        rows.append(f"{k},{_fmt(t)},{_fmt(x)}")
-    _emit("\n".join(rows) + "\n", output)
+    x = report.solution
+    rows = zip(range(x.n + 1), x.nodes.tolist(), x.values.tolist())
+    _emit("k,t,x\n" + "".join("%d,%.17g,%.17g\n" % row for row in rows), output)
 
     sys.stdout.write(
         f"status: {report.status}\n"

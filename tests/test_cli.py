@@ -6,6 +6,7 @@ import pytest
 from dirbvp import cli
 from dirbvp.cli import ConfigError, build_problem, load_config, main, run
 from dirbvp.convergence import ManufacturedProblem
+from dirbvp.solver import newton_solve
 
 F1_CONFIG = """\
 # canonical bounded-nonlinearity problem
@@ -17,6 +18,16 @@ B = 0.5
 fx_lower = -0.25
 N = 20
 Ns = 4,8,16
+"""
+
+F1_SIN_CONFIG = """\
+name = f1_sin
+f = (t + sin(x))/(2*x^2 + 4)
+x_star = sin(pi*t)
+A = 0.1
+B = 0.5
+fx_lower = -0.25
+N = 20
 """
 
 QUAD_CONFIG = """\
@@ -114,6 +125,23 @@ def test_solve_closed_form_row(tmp_path, capsys):
     assert float(t) == 0.5
     assert abs(float(x) - (-0.25)) <= 1e-12
     assert "status: converged" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", [F1_CONFIG, F1_SIN_CONFIG], ids=["f1", "f1_sin"])
+def test_solve_csv_matches_per_row_format(tmp_path, text):
+    # the CSV is the one-pass %-format of each row; it must equal the
+    # per-value format(..., ".17g") rendering byte for byte
+    config = load_config(write(tmp_path, text.replace("N = 20", "N = 64")))
+    out = tmp_path / "solution.csv"
+    assert run("solve", config, output=str(out)) == 0
+    problem = build_problem(config)
+    spec = problem.spec if isinstance(problem, ManufacturedProblem) else problem
+    solution = newton_solve(spec, 64).solution
+    expected = ["k,t,x"] + [
+        f"{k},{format(float(t), '.17g')},{format(float(x), '.17g')}"
+        for k, (t, x) in enumerate(zip(solution.nodes, solution.values))
+    ]
+    assert out.read_text().split("\n") == expected + [""]
 
 
 def test_converge_csv_decreasing(tmp_path):

@@ -21,6 +21,41 @@ F1_SPEC = make_spec(F1, "1", A=0.1, B=0.5, fx_lower=-0.25)
 F1_UNFORCED = make_spec(F1, "0", A=0.1, B=0.5, fx_lower=-0.25)
 
 
+def general_band_solve(sub, diag, sup, rhs):
+    """No-pivot elimination for arbitrary bands, as solve_tridiagonal did
+    before the Jacobian's unit off-diagonals were built in; the reference
+    the unit-band solve must match bit for bit.
+    """
+    sub, diag, sup, rhs = (np.asarray(a, dtype=float) for a in (sub, diag, sup, rhs))
+    m = diag.size
+    scale = np.abs(diag).copy()
+    if m > 1:
+        scale[:-1] = np.maximum(scale[:-1], np.abs(sup))
+        scale[1:] = np.maximum(scale[1:], np.abs(sub))
+
+    w = diag.copy()
+    g = rhs.copy()
+    for i in range(1, m):
+        pivot = w[i - 1]
+        if abs(pivot) <= 1e-12 * scale[i - 1]:
+            raise SingularJacobianError(f"vanishing pivot at row {i - 1}")
+        factor = sub[i - 1] / pivot
+        w[i] -= factor * sup[i - 1]
+        g[i] -= factor * g[i - 1]
+    if abs(w[-1]) <= 1e-12 * scale[-1]:
+        raise SingularJacobianError(f"vanishing pivot at row {m - 1}")
+
+    h = np.empty(m)
+    h[-1] = g[-1] / w[-1]
+    for i in range(m - 2, -1, -1):
+        h[i] = (g[i] - sup[i] * h[i + 1]) / w[i]
+    return h
+
+
+def dense(tri):
+    return np.column_stack([tri.matvec(e) for e in np.eye(tri.order)])
+
+
 def quadratic_solution(n):
     k = np.arange(n + 1)
     return GridFunction(n, (k**2 - n * k) / n**2)
@@ -68,14 +103,13 @@ def test_jacobian_linear_f():
     x = GridFunction.zeros(10)
     tri = jacobian(spec, x)
     np.testing.assert_allclose(tri.diag, np.full(9, -2.0 - 3.0 / 100.0), rtol=1e-15)
-    assert np.all(tri.sub == 1.0) and np.all(tri.sup == 1.0)
+    assert np.array_equal(dense(tri), np.diag(tri.diag) + np.eye(9, k=1) + np.eye(9, k=-1))
 
 
 def test_jacobian_n3_matrix():
     tri = jacobian(ZERO_F, GridFunction.zeros(3))
     np.testing.assert_allclose(tri.diag, [-2.0, -2.0])
-    np.testing.assert_allclose(tri.sub, [1.0])
-    np.testing.assert_allclose(tri.sup, [1.0])
+    assert np.array_equal(dense(tri), [[-2.0, 1.0], [1.0, -2.0]])
 
 
 def test_jacobian_matches_directional_derivative():
@@ -92,21 +126,23 @@ def test_jacobian_matches_directional_derivative():
 
 
 def test_solve_tridiagonal_2x2():
-    tri = Tridiagonal(sub=[1.0], diag=[-2.0, -2.0], sup=[1.0])
+    tri = Tridiagonal(diag=[-2.0, -2.0])
     np.testing.assert_allclose(
         solve_tridiagonal(tri, [1.0, 0.0]), [-2.0 / 3.0, -1.0 / 3.0], rtol=1e-14
     )
 
 
-def test_solve_tridiagonal_identity():
-    tri = Tridiagonal(sub=np.zeros(4), diag=np.ones(5), sup=np.zeros(4))
-    rhs = np.arange(5.0)
-    np.testing.assert_allclose(solve_tridiagonal(tri, rhs), rhs)
+def test_solve_tridiagonal_quadratic_closed_form():
+    # h_k = (k^2 - N k)/N^2 has second difference 2/N^2 and zero boundary
+    n = 40
+    k = np.arange(1, n)
+    h = solve_tridiagonal(Tridiagonal(diag=np.full(n - 1, -2.0)), np.full(n - 1, 2.0 / n**2))
+    np.testing.assert_allclose(h, (k**2 - n * k) / n**2, rtol=1e-12, atol=1e-15)
 
 
 def test_solve_tridiagonal_residual_oracle():
     rng = np.random.default_rng(9)
-    tri = Tridiagonal(sub=np.ones(49), diag=np.full(50, -2.0), sup=np.ones(49))
+    tri = Tridiagonal(diag=np.full(50, -2.0))
     for _ in range(10):
         rhs = rng.normal(size=50)
         h = solve_tridiagonal(tri, rhs)
@@ -115,13 +151,39 @@ def test_solve_tridiagonal_residual_oracle():
 
 def test_solve_tridiagonal_singular():
     with pytest.raises(SingularJacobianError):
-        solve_tridiagonal(Tridiagonal(sub=[1.0], diag=[1.0, 1.0], sup=[1.0]), [1.0, 0.0])
+        solve_tridiagonal(Tridiagonal(diag=[1.0, 1.0]), [1.0, 0.0])
     with pytest.raises(SingularJacobianError):
-        solve_tridiagonal(Tridiagonal(sub=[0.0], diag=[0.0, 1.0], sup=[0.0]), [1.0, 0.0])
+        solve_tridiagonal(Tridiagonal(diag=[0.0, 1.0]), [1.0, 0.0])
+
+
+def test_solve_tridiagonal_matches_general_band_reference():
+    # diagonals of both signs over six decades, with zero and 1e-13 entries
+    # mixed in, so that each order sees solves and singular pivots
+    rng = np.random.default_rng(2024)
+    for m in (1, 2, 3, 17, 1000):
+        outcomes = set()
+        for _ in range(40):
+            diag = rng.normal(scale=3.0, size=m) * rng.choice([1e-3, 1.0, 1e3], size=m)
+            special = rng.random(m)
+            diag[special < 0.05] = 0.0
+            diag[(special >= 0.05) & (special < 0.1)] = 1e-13 * rng.choice([-1.0, 1.0])
+            rhs = rng.normal(size=m)
+            ones = np.ones(m - 1)
+            try:
+                expected = general_band_solve(ones, diag, ones, rhs)
+            except SingularJacobianError:
+                with pytest.raises(SingularJacobianError):
+                    solve_tridiagonal(Tridiagonal(diag=diag), rhs)
+                outcomes.add("singular")
+                continue
+            got = solve_tridiagonal(Tridiagonal(diag=diag), rhs)
+            assert got.tobytes() == expected.tobytes()
+            outcomes.add("solved")
+        assert outcomes == {"solved", "singular"}, m
 
 
 def test_solve_tridiagonal_dimension_mismatch():
-    tri = Tridiagonal(sub=[1.0], diag=[-2.0, -2.0], sup=[1.0])
+    tri = Tridiagonal(diag=[-2.0, -2.0])
     with pytest.raises(ValueError):
         solve_tridiagonal(tri, [1.0, 0.0, 0.0])
 
@@ -223,6 +285,4 @@ def test_operator_coercivity_lower_bound():
 
 def test_tridiagonal_validation():
     with pytest.raises(ValueError):
-        Tridiagonal(sub=[1.0, 1.0], diag=[1.0, 1.0], sup=[1.0])
-    with pytest.raises(ValueError):
-        Tridiagonal(sub=[np.inf], diag=[1.0, 1.0], sup=[1.0])
+        Tridiagonal(diag=[1.0, np.inf])
