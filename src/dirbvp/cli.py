@@ -13,7 +13,9 @@ configuration failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -149,8 +151,8 @@ def load_config(path) -> ProblemConfig:
         raise ConfigError("give either v or x_star, not both: v is derived from x_star")
     if config.n is not None and config.n < 2:
         raise ConfigError("field 'N': grid size must be at least 2")
-    if config.tol is not None and config.tol <= 0:
-        raise ConfigError("field 'tol': must be positive")
+    if config.tol is not None and not 0 < config.tol < math.inf:
+        raise ConfigError("field 'tol': must be positive and finite")
     if config.max_iter is not None and config.max_iter < 1:
         raise ConfigError("field 'max_iter': must be at least 1")
 
@@ -194,11 +196,13 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _emit(text: str, output) -> None:
+def _emit(chunks, output) -> None:
+    """Write the strings in ``chunks`` to the output file, or to stdout without one."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as stream:
+            stream.writelines(chunks)
 
 
 def _report_dict(report) -> dict:
@@ -254,10 +258,7 @@ def _run_check(config: ProblemConfig, output) -> int:
         },
         indent=2,
     )
-    if output is None:
-        sys.stdout.write(machine + "\n")
-    else:
-        _emit(machine + "\n", output)
+    _emit([machine, "\n"], output)
 
     return 1 if (growth.violated or fx_low.violated) else 0
 
@@ -270,7 +271,7 @@ def _run_solve(config: ProblemConfig, output) -> int:
 
     x = report.solution
     rows = zip(range(x.n + 1), x.nodes.tolist(), x.values.tolist())
-    _emit("k,t,x\n" + "".join("%d,%.17g,%.17g\n" % row for row in rows), output)
+    _emit(itertools.chain(["k,t,x\n"], ("%d,%.17g,%.17g\n" % row for row in rows)), output)
 
     sys.stdout.write(
         f"status: {report.status}\n"
@@ -296,10 +297,10 @@ def _run_converge(config: ProblemConfig, output) -> int:
     try:
         table = run_study(problem, config.ns, _solver_config(config), problem_id=config.name)
     except StudyError as exc:
-        _emit(_table_csv(exc.partial), output)
+        _emit([_table_csv(exc.partial)], output)
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(_table_csv(table), output)
+    _emit([_table_csv(table)], output)
     return 0
 
 
@@ -326,7 +327,7 @@ def _run_norms(output, seed: int, n: int | None) -> int:
                 + ",".join(_fmt(value) for value in chain)
                 + f",{str(holds).lower()}"
             )
-    _emit("\n".join(rows) + "\n", output)
+    _emit(["\n".join(rows), "\n"], output)
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import evaluate
-from .grid import GridFunction, forward_difference, second_difference
+from .grid import GridFunction, forward_difference
 from .problem import ProblemSpec
 
 __all__ = [
@@ -90,9 +90,14 @@ def residual(spec: ProblemSpec, x: GridFunction) -> Residual:
     the plain Euclidean norm; x solves the problem iff the vector is 0.
     """
     t = _interior_nodes(x.n)
-    f_vals = evaluate(spec.f, t, x.interior)
-    v_vals = evaluate(spec.v, t, 0.0)
-    vector = second_difference(x) - (f_vals + v_vals) / x.n**2
+    return _residual(spec, t, evaluate(spec.v, t, 0.0), x.values)
+
+
+def _residual(spec: ProblemSpec, t, v_vals, values) -> Residual:
+    # ``residual`` of all N+1 grid values (zero ends), given t_k and v(t_k)
+    f_vals = evaluate(spec.f, t, values[1:-1])
+    second_diff = values[2:] - 2.0 * values[1:-1] + values[:-2]
+    vector = second_diff - (f_vals + v_vals) / (values.size - 1) ** 2
     return Residual(vector=vector, norm=float(np.linalg.norm(vector)))
 
 

@@ -9,6 +9,7 @@ falsification-based evidence, not a proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,8 @@ def make_spec(f, v, *, A: float, B: float, fx_lower: float, fx=None) -> ProblemS
     """
     f = _as_expr(f)
     v = _as_expr(v)
+    if not all(math.isfinite(c) for c in (A, B, fx_lower)):
+        raise ValueError("declared constants A, B and fx_lower must be finite")
     if A <= 0.0 or B <= 0.0:
         raise ValueError("growth constants A and B must be positive")
     if uses_var(v, "x"):

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dirbvp import cli
+from dirbvp import cli, corpus
 from dirbvp.cli import ConfigError, build_problem, load_config, main, run
 from dirbvp.convergence import ManufacturedProblem
 from dirbvp.solver import newton_solve
@@ -39,6 +40,9 @@ B = 0.1
 fx_lower = 0.0
 N = 10
 """
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write(tmp_path, text, name="problem.txt"):
@@ -107,6 +111,38 @@ def test_load_config_v_and_x_star_rules(tmp_path):
 def test_load_config_validates_ns(tmp_path):
     with pytest.raises(ConfigError, match="Ns"):
         load_config(write(tmp_path, F1_CONFIG.replace("Ns = 4,8,16", "Ns = 4,1,16")))
+
+
+def test_configs_declare_the_corpus():
+    paths = sorted(CONFIGS.glob("*.txt"))
+    assert sorted(path.stem for path in paths) == sorted(corpus.ENTRIES)
+    for path in paths:
+        config = load_config(path)
+        entry = corpus.ENTRIES[path.stem]
+        for field in ("name", "f", "v", "x_star", "A", "B", "fx_lower"):
+            assert getattr(config, field) == getattr(entry, field), (path.name, field)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tol_is_a_config_error(tmp_path, capsys, value):
+    path = write(tmp_path, F1_CONFIG + f"tol = {value}\n")
+    with pytest.raises(ConfigError, match="tol"):
+        load_config(path)
+    assert main(["solve", "--config", str(path), "--output", str(tmp_path / "x.csv")]) == 2
+    assert "tol" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("constant", ["A", "B", "fx_lower"])
+def test_non_finite_constant_exits_2(tmp_path, capsys, constant):
+    lines = [
+        f"{constant} = nan" if line.startswith(f"{constant} =") else line
+        for line in F1_CONFIG.splitlines()
+    ]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
 
 
 def test_load_config_missing_file(tmp_path):

@@ -22,6 +22,15 @@ def test_make_spec_validates_constants():
         make_spec("x", "0", A=0.5, B=-1.0, fx_lower=-0.5)
 
 
+@pytest.mark.parametrize("constant", ["A", "B", "fx_lower"])
+def test_make_spec_rejects_non_finite_constant(constant):
+    # a NaN bound compares false everywhere, so no sample could falsify it
+    constants = {"A": 0.5, "B": 0.5, "fx_lower": -0.5}
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make_spec("x", "0", **{**constants, constant: bad})
+
+
 def test_make_spec_rejects_v_depending_on_x():
     with pytest.raises(ValueError, match="t only"):
         make_spec("0", "x + 1", A=0.5, B=0.5, fx_lower=0.0)

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from dirbvp.discrete_op import jacobian, residual
-from dirbvp.grid import GridFunction, norms, random_element
+from dirbvp import corpus, discrete_op, solver
+from dirbvp.discrete_op import SingularJacobianError, jacobian, residual, solve_tridiagonal
+from dirbvp.expr import EvalError, evaluate
+from dirbvp.grid import GridFunction, norms, random_element, second_difference
 from dirbvp.problem import apriori_bound, make_spec
 from dirbvp.solver import (
     CONVERGED,
@@ -21,6 +25,11 @@ F1 = "(t + sin(x))/(2*x^2 + 4)"
 F1_SPEC = make_spec(F1, "1", A=0.1, B=0.5, fx_lower=-0.25)
 QUAD = make_spec("0", "2", A=0.1, B=0.1, fx_lower=0.0)
 ODD = make_spec("sin(x)", "0", A=1.1, B=0.1, fx_lower=-1.1)  # f(t,0) = 0, v = 0
+# Problems whose full Newton steps overshoot, so the line search backtracks:
+# on the Armijo test for the cubic, and on trials below the branch point
+# x = -1, which f cannot evaluate, for the square root.
+CUBIC = make_spec("x^3", "1000", A=1.0, B=1.0, fx_lower=0.0)
+SQRT = make_spec("sqrt(x + 1)", "7.5", A=1.0, B=1.0, fx_lower=0.0)
 
 
 def quadratic_solution(n):
@@ -129,13 +138,158 @@ def test_newton_rejects_mismatched_guess():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(armijo_c=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(backtrack_factor=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(tol=-1.0)
+    # a NaN or infinite threshold would report converged without iterating
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            SolverConfig(tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+
+
+def reference_newton_solve(spec, n, cfg=None):
+    """The earlier newton_solve loop, kept as the bitwise reference.
+
+    It evaluates v in the stopping threshold and in every residual, builds
+    a GridFunction for every line-search trial, and returns the report as
+    (status, iterations, residual norm, step trace, solution bytes).
+    """
+    cfg = cfg or SolverConfig()
+    x = cfg.initial_guess if cfg.initial_guess is not None else GridFunction.zeros(n)
+    trace = []
+
+    def res(x):
+        t = np.arange(1, x.n) / x.n
+        f_vals = evaluate(spec.f, t, x.interior)
+        v_vals = evaluate(spec.v, t, 0.0)
+        vector = second_difference(x) - (f_vals + v_vals) / x.n**2
+        return vector, float(np.linalg.norm(vector))
+
+    def report(status, x, res_norm, iterations):
+        return (status, iterations, res_norm, tuple(trace), x.values.tobytes())
+
+    try:
+        t = np.arange(1, n) / n
+        v_sup = float(np.max(np.abs(evaluate(spec.v, t, 0.0))))
+        threshold = cfg.tol * (1.0 + v_sup * math.sqrt(n) / n**2)
+        r, r_norm = res(x)
+    except EvalError:
+        return report(EVAL_ERROR, x, math.nan, 0)
+
+    iterations = 0
+    while r_norm > threshold:
+        if iterations >= cfg.max_iter:
+            return report(MAX_ITER, x, r_norm, iterations)
+        try:
+            step = solve_tridiagonal(jacobian(spec, x), -r)
+        except SingularJacobianError:
+            return report(SINGULAR_JACOBIAN, x, r_norm, iterations)
+        except EvalError:
+            return report(EVAL_ERROR, x, r_norm, iterations)
+
+        merit_0 = 0.5 * r_norm**2
+        slope = -2.0 * merit_0
+        lam = 1.0
+        while True:
+            try:
+                candidate = GridFunction.from_interior(x.interior + lam * step)
+                r_new, r_new_norm = res(candidate)
+                ok = 0.5 * r_new_norm**2 <= merit_0 + 1e-4 * lam * slope
+            except (EvalError, ValueError):
+                ok = False
+            if ok:
+                break
+            lam *= 0.5
+            if lam < 1e-14:
+                return report(MAX_ITER, x, r_norm, iterations)
+
+        x, r, r_norm = candidate, r_new, r_new_norm
+        iterations += 1
+        trace.append((iterations, r_norm, lam))
+
+    return report(CONVERGED, x, r_norm, iterations)
+
+
+def assert_matches_reference(spec, n, cfg=None):
+    got = newton_solve(spec, n, cfg)
+    want = reference_newton_solve(spec, n, cfg)
+    assert (
+        got.status, got.iterations, got.residual_norm, got.step_trace,
+        got.solution.values.tobytes(),
+    ) == want, n
+    return got
+
+
+def test_newton_solve_matches_reference_bitwise():
+    sizes = list(range(2, 34)) + [50, 64, 100, 127, 256, 500, 1000, 1024, 4096]
+    specs = [getattr(p, "spec", p) for p in map(corpus.build, corpus.names())]
+    statuses = set()
+    backtracked = False
+    for spec in specs + [CUBIC, SQRT]:
+        for n in sizes:
+            rng = np.random.default_rng(n)
+            guesses = [None] + [
+                GridFunction.from_interior(rng.uniform(-a, a, n - 1)) for a in (1.0, 30.0)
+            ]
+            for guess in guesses:
+                got = assert_matches_reference(spec, n, SolverConfig(initial_guess=guess))
+                statuses.add(got.status)
+                backtracked |= any(lam < 1.0 for _, _, lam in got.step_trace)
+    assert backtracked
+    assert CONVERGED in statuses and EVAL_ERROR in statuses  # SQRT from wide starts
+
+
+def test_newton_failure_statuses_match_reference():
+    steep = make_spec("-32*x", "1", A=32.1, B=0.1, fx_lower=-32.1)
+    pole = make_spec("1/(x - 1)", "1", A=0.5, B=0.5, fx_lower=-10.0)
+    beyond = make_spec("sqrt(x + 1)", "8", A=1.0, B=1.0, fx_lower=0.0)  # reaches x = -1
+    cases = [
+        (F1_SPEC, 50, SolverConfig(max_iter=1), MAX_ITER),
+        (F1_SPEC, 64, SolverConfig(tol=1e-300, max_iter=50), MAX_ITER),  # roundoff floor
+        (steep, 4, None, SINGULAR_JACOBIAN),
+        (pole, 10, SolverConfig(initial_guess=GridFunction.from_interior(np.ones(9))),
+         EVAL_ERROR),
+        (beyond, 16, None, EVAL_ERROR),
+    ]
+    for spec, n, cfg, status in cases:
+        assert assert_matches_reference(spec, n, cfg).status == status
+
+
+def count_evaluations(monkeypatch):
+    """Record the expression of every evaluate call the solver makes."""
+    calls = []
+    for module in (solver, discrete_op):
+        def evaluate(expr, t=0.0, x=0.0, original=module.evaluate):
+            calls.append(expr)
+            return original(expr, t, x)
+
+        monkeypatch.setattr(module, "evaluate", evaluate)
+    return calls
+
+
+def test_newton_exhausted_line_search_matches_reference(monkeypatch):
+    # an uphill direction fails the Armijo test at every step length
+    def uphill(matrix, rhs):
+        return -discrete_op.solve_tridiagonal(matrix, rhs)
+
+    monkeypatch.setattr(solver, "solve_tridiagonal", uphill)
+    monkeypatch.setitem(globals(), "solve_tridiagonal", uphill)
+    calls = count_evaluations(monkeypatch)
+    report = assert_matches_reference(F1_SPEC, 16)
+    assert report.status == MAX_ITER and report.iterations == 0
+    # the start, then step lengths 1, 1/2, ..., 2^-46; the next is below 1e-14
+    assert sum(expr is F1_SPEC.f for expr in calls) == 1 + 47
+
+
+def test_newton_evaluates_v_once(monkeypatch):
+    calls = count_evaluations(monkeypatch)
+    for spec in (CUBIC, SQRT):
+        calls.clear()
+        report = newton_solve(spec, 64)
+        assert report.status == CONVERGED
+        assert any(lam < 1.0 for _, _, lam in report.step_trace)  # trials were rejected
+        assert sum(expr is spec.v for expr in calls) == 1
+        assert sum(expr is spec.f for expr in calls) > report.iterations + 1
 
 
 def test_multi_start_agreement_f1():
