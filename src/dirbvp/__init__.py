@@ -16,7 +16,6 @@ from .convergence import (
     ConvergenceTable,
     ManufacturedProblem,
     StudyError,
-    derivative_bound_check,
     manufacture,
     run_study,
 )
@@ -25,7 +24,6 @@ from .discrete_op import (
     SingularJacobianError,
     Tridiagonal,
     jacobian,
-    linearized_solve,
     phi_N,
     residual,
     solve_tridiagonal,
@@ -49,7 +47,6 @@ from .grid import (
     norms,
     random_element,
     second_difference,
-    summation_by_parts_residual,
 )
 from .problem import (
     ConditionReport,

@@ -23,7 +23,6 @@ __all__ = [
     "StudyError",
     "manufacture",
     "run_study",
-    "derivative_bound_check",
 ]
 
 _BOUNDARY_TOL = 1e-12
@@ -145,14 +144,3 @@ def run_study(problem, ns, cfg: SolverConfig | None = None, problem_id: str = ""
         rows.append(ConvergenceRow(n, sup_error, order, derivative_bound))
 
     return ConvergenceTable(problem_id=problem_id, reference=reference, rows=tuple(rows))
-
-
-def derivative_bound_check(table: ConvergenceTable) -> float:
-    """Largest scaled difference max_k N |x_N(k) - x_N(k-1)| over the study.
-
-    Boundedness of this quantity across refinements is what rules out a
-    spurious limit.
-    """
-    if not table.rows:
-        raise ValueError("table is empty")
-    return max(row.derivative_bound for row in table.rows)

@@ -25,7 +25,6 @@ __all__ = [
     "residual",
     "jacobian",
     "solve_tridiagonal",
-    "linearized_solve",
     "phi_N",
 ]
 
@@ -145,15 +144,6 @@ def solve_tridiagonal(matrix: Tridiagonal, rhs) -> np.ndarray:
     return np.array(g)
 
 
-def linearized_solve(spec: ProblemSpec, x: GridFunction, a) -> GridFunction:
-    """The unique h with jacobian(spec, x) @ h_interior = a and zero boundary."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (x.n - 1,):
-        raise ValueError(f"expected {x.n - 1} interior entries, got {a.shape}")
-    h = solve_tridiagonal(jacobian(spec, x), a)
-    return GridFunction.from_interior(h)
-
-
 def phi_N(spec: ProblemSpec, x: GridFunction, a, h: GridFunction) -> float:
     """Quadratic functional whose unique critical point is the linearized solve.
 
@@ -162,7 +152,8 @@ def phi_N(spec: ProblemSpec, x: GridFunction, a, h: GridFunction) -> float:
                + sum h(k) a(k)
 
     It is strictly convex and coercive when f_x > -1, which is what makes
-    it usable as an independent check on linearized_solve.
+    it usable as an independent check on solve_tridiagonal: the critical
+    point has zero ends and interior solve_tridiagonal(jacobian(spec, x), a).
     """
     a = np.asarray(a, dtype=float)
     if x.n != h.n:

@@ -17,7 +17,6 @@ __all__ = [
     "forward_difference",
     "second_difference",
     "norms",
-    "summation_by_parts_residual",
     "random_element",
 ]
 
@@ -105,29 +104,6 @@ def norms(x: GridFunction) -> GridNorms:
         e_norm=float(np.linalg.norm(second_difference(x))),
         sup_norm=float(np.max(np.abs(x.values))),
     )
-
-
-def summation_by_parts_residual(a, b, m: int) -> float:
-    """Absolute defect of the summation-by-parts identity up to index m.
-
-    For sequences a_1..a_{m+1}, b_1..b_{m+1} (stored 0-based) the identity
-
-        sum_{k=1}^{m} a_k (b_{k+1} - b_k)
-            = a_{m+1} b_{m+1} - a_1 b_1 - sum_{k=1}^{m} (a_{k+1} - a_k) b_{k+1}
-
-    is exact; the returned value is zero up to roundoff.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    if a.size < m + 1:
-        raise ValueError(f"need at least {m + 1} entries, got {a.size}")
-    a = a[: m + 1]
-    b = b[: m + 1]
-    lhs = np.sum(a[:-1] * np.diff(b))
-    rhs = a[-1] * b[-1] - a[0] * b[0] - np.sum(np.diff(a) * b[1:])
-    return abs(float(lhs - rhs))
 
 
 def random_element(n: int, rng: np.random.Generator, amplitude: float = 1.0) -> GridFunction:

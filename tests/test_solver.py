@@ -143,8 +143,11 @@ def test_solver_config_validation():
     for tol in (math.nan, math.inf):
         with pytest.raises(ValueError, match="tol"):
             SolverConfig(tol=tol)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
+    # a NaN limit is never reached, so the solve would not stop; only
+    # construct these configs, never solve with them
+    for max_iter in (0, math.nan, 2.5, True):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(max_iter=max_iter)
 
 
 def reference_newton_solve(spec, n, cfg=None):
