@@ -349,6 +349,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.n is not None and args.n < 2:
+            raise ConfigError("option '--n': grid size must be at least 2")
         config = None
         if args.config is not None:
             config = load_config(args.config)

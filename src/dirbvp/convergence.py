@@ -14,7 +14,7 @@ import numpy as np
 
 from .expr import BinOp, Expr, diff, evaluate, parse, substitute, uses_var
 from .problem import ProblemSpec, make_spec
-from .solver import CONVERGED, SolverConfig, newton_solve
+from .solver import CONVERGED, SolverConfig, _is_integer, newton_solve
 
 __all__ = [
     "ConvergenceRow",
@@ -65,12 +65,14 @@ class StudyError(RuntimeError):
         self.partial = partial
 
 
-def manufacture(f, x_star, *, A: float, B: float, fx_lower: float, fx=None) -> ManufacturedProblem:
+def manufacture(f, x_star, *, A: float, B: float, fx_lower: float) -> ManufacturedProblem:
     """Build a problem whose continuous solution is x_star by construction.
 
     x_star must be an expression in t alone, vanish at t = 0 and t = 1
     (within 1e-12), and be twice differentiable; the forcing becomes
-    v = x_star'' - f(t, x_star(t)), composed symbolically.
+    v = x_star'' - f(t, x_star(t)), composed symbolically.  x_star is
+    differentiated twice in t and f once in x (by ``make_spec``; no f_x is
+    taken), so ``abs`` in either raises ``NonDifferentiableError``.
     """
     if isinstance(f, str):
         f = parse(f)
@@ -86,7 +88,7 @@ def manufacture(f, x_star, *, A: float, B: float, fx_lower: float, fx=None) -> M
             )
     x_star_dd = diff(diff(x_star, "t"), "t")
     v = BinOp("-", x_star_dd, substitute(f, "x", x_star))
-    spec = make_spec(f, v, A=A, B=B, fx_lower=fx_lower, fx=fx)
+    spec = make_spec(f, v, A=A, B=B, fx_lower=fx_lower)
     return ManufacturedProblem(spec=spec, x_star=x_star)
 
 
@@ -106,11 +108,12 @@ def run_study(problem, ns, cfg: SolverConfig | None = None, problem_id: str = ""
     8x finer than max(ns), which every n must divide.  The empirical
     order between consecutive rows with doubled n is log2(e_n / e_2n).
     """
-    ns = sorted(int(n) for n in ns)
+    ns = list(ns)
     if not ns:
         raise ValueError("ns must be nonempty")
-    if any(n < 2 for n in ns):
-        raise ValueError("every grid size must be at least 2")
+    if not all(_is_integer(n) and n >= 2 for n in ns):
+        raise ValueError("every grid size must be an integer of at least 2")
+    ns = sorted(int(n) for n in ns)
     if len(set(ns)) != len(ns):
         raise ValueError("grid sizes must be distinct")
     cfg = replace(cfg, initial_guess=None) if cfg is not None else SolverConfig()

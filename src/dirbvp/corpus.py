@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convergence import ManufacturedProblem, manufacture
-from .expr import ParseError
+from .expr import ExprError
 from .problem import ProblemSpec, make_spec
 
 __all__ = ["ConfigError", "ProblemConfig", "build_problem", "ENTRIES", "names", "build"]
@@ -39,14 +39,18 @@ class ProblemConfig:
 
 
 def build_problem(config: ProblemConfig) -> ProblemSpec | ManufacturedProblem:
-    """Turn a config into a solvable problem, deriving v when x_star is given."""
+    """Turn a config into a solvable problem, deriving v when x_star is given.
+
+    Every failure to build, a non-differentiable f or x_star included, is
+    a ``ConfigError``.
+    """
     try:
         if config.x_star is not None:
             return manufacture(
                 config.f, config.x_star, A=config.A, B=config.B, fx_lower=config.fx_lower
             )
         return make_spec(config.f, config.v, A=config.A, B=config.B, fx_lower=config.fx_lower)
-    except (ParseError, ValueError) as exc:
+    except (ExprError, ValueError) as exc:
         raise ConfigError(f"config {config.name!r}: {exc}")
 
 

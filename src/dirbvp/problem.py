@@ -27,11 +27,6 @@ __all__ = [
     "apriori_bound",
 ]
 
-# Cross-validation points for a declared f_x override; x values avoid 0,
-# where derivatives of |x|-like expressions are undefined.
-_CHECK_T = (0.0, 0.25, 0.5, 0.75, 1.0)
-_CHECK_X = (-0.93, -0.41, 0.17, 0.58, 0.94)
-_FD_STEP = 1e-6
 _WITNESS_CAP = 10
 
 
@@ -83,12 +78,13 @@ def _as_expr(value) -> Expr:
     return parse(value) if isinstance(value, str) else value
 
 
-def make_spec(f, v, *, A: float, B: float, fx_lower: float, fx=None) -> ProblemSpec:
+def make_spec(f, v, *, A: float, B: float, fx_lower: float) -> ProblemSpec:
     """Build a validated problem.
 
-    f and v may be expression trees or source strings.  When fx is not
-    supplied it is derived symbolically; either way it is cross-checked
-    against centered finite differences of f on a small sample box.
+    f and v may be expression trees or source strings.  f must be
+    differentiable in x: f_x is always its symbolic derivative, and there
+    is no way to supply one.  ``abs`` is therefore usable in v only; in f
+    it raises ``NonDifferentiableError``.
     """
     f = _as_expr(f)
     v = _as_expr(v)
@@ -98,30 +94,7 @@ def make_spec(f, v, *, A: float, B: float, fx_lower: float, fx=None) -> ProblemS
         raise ValueError("growth constants A and B must be positive")
     if uses_var(v, "x"):
         raise ValueError("the forcing term v must depend on t only")
-    fx = _as_expr(fx) if fx is not None else diff(f, "x")
-    _cross_check_fx(f, fx)
-    return ProblemSpec(f, fx, v, float(A), float(B), float(fx_lower))
-
-
-def _cross_check_fx(f: Expr, fx: Expr):
-    checked = 0
-    for t in _CHECK_T:
-        for x in _CHECK_X:
-            try:
-                analytic = evaluate(fx, t, x)
-                fd = (evaluate(f, t, x + _FD_STEP) - evaluate(f, t, x - _FD_STEP)) / (
-                    2.0 * _FD_STEP
-                )
-            except EvalError:
-                continue
-            if abs(analytic - fd) > 1e-5 * (1.0 + abs(analytic)):
-                raise ValueError(
-                    f"fx disagrees with a finite difference of f at (t={t}, x={x}): "
-                    f"{analytic} vs {fd}"
-                )
-            checked += 1
-    if checked == 0:
-        raise ValueError("could not evaluate f and fx anywhere on the sample box")
+    return ProblemSpec(f, diff(f, "x"), v, float(A), float(B), float(fx_lower))
 
 
 def _locate_failure(expr: Expr, t_grid: np.ndarray, x_grid: np.ndarray, cause: EvalError):

@@ -42,6 +42,11 @@ _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 1e-14
 
 
+def _is_integer(value) -> bool:
+    """True for an integer that is not a bool; a float never counts, even 20.0."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class SolverError(RuntimeError):
     """A solve that was required to converge did not."""
 
@@ -56,8 +61,7 @@ class SolverConfig:
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
         # a NaN limit compares false with every count and is never reached
-        integral = isinstance(self.max_iter, numbers.Integral) and not isinstance(self.max_iter, bool)
-        if not integral or self.max_iter < 1:
+        if not _is_integer(self.max_iter) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer of at least 1")
 
 

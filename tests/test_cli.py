@@ -314,3 +314,67 @@ def test_main_reports_forcing_that_uses_x(tmp_path, capsys):
     assert main(["check", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "depend on t only" in err
+
+
+NON_DIFFERENTIABLE = {
+    "f": "name = kink\nf = 0.3*abs(x) + 0.2\nv = 0\nA = 0.3\nB = 0.2\nfx_lower = -0.3\n",
+    "x_star": "name = kink\nf = 0\nx_star = abs(t - 0.5) - 0.5\nA = 0.1\nB = 0.1\nfx_lower = 0\n",
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_DIFFERENTIABLE))
+@pytest.mark.parametrize("command", ["check", "solve", "converge"])
+def test_non_differentiable_expression_is_a_config_error(tmp_path, capsys, field, command):
+    # exit 1 is reserved for a violated condition; abs cannot be differentiated
+    path = write(tmp_path, NON_DIFFERENTIABLE[field] + "N = 8\nNs = 4,8\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config 'kink': abs is not differentiable\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--n", "-3"], ["solve", "--n", "1"], ["check", "--n", "0"],
+     ["converge", "--n", "1"], ["norms", "--n", "0"], ["norms", "--n", "-2"]],
+)
+def test_n_override_is_checked_like_the_config_field(tmp_path, capsys, argv):
+    if argv[0] != "norms":
+        argv = argv + ["--config", str(write(tmp_path, F1_CONFIG))]
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: option '--n': grid size must be at least 2\n"
+    assert not out.exists()
+
+
+NOWHERE_CONFIG = """\
+name = nowhere
+f = sqrt(-1 - x^2)
+v = 0
+A = 0.5
+B = 0.5
+fx_lower = -1
+N = 8
+Ns = 4,8
+"""
+
+
+def test_nowhere_evaluable_f_fails_in_every_command(tmp_path, capsys):
+    # building does not evaluate f, so each command meets the failure itself
+    path = str(write(tmp_path, NOWHERE_CONFIG))
+
+    assert main(["check", "--config", path]) == 2
+    assert "sample point (t=0.0, x=" in capsys.readouterr().err
+
+    out = tmp_path / "solution.csv"
+    assert main(["solve", "--config", path, "--output", str(out)]) == 2
+    assert "status: eval_error" in capsys.readouterr().out
+    rows = out.read_text().splitlines()
+    assert rows[0] == "k,t,x" and len(rows) == 10
+    assert all(row.endswith(",0") for row in rows[1:])
+
+    table = tmp_path / "table.csv"
+    assert main(["converge", "--config", path, "--output", str(table)]) == 2
+    assert "failed at N=64 with status eval_error" in capsys.readouterr().err
+    assert table.read_text() == "N,sup_error,empirical_order,derivative_bound\n"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dirbvp import corpus
 from dirbvp.convergence import (
     ConvergenceRow,
     ConvergenceTable,
@@ -96,8 +97,6 @@ def test_derivative_bound_stays_flat_for_f1():
 
 
 def test_derivative_bound_ratio_across_corpus():
-    from dirbvp import corpus
-
     for name in corpus.names():
         table = run_study(corpus.build(name), [8, 16, 32, 64], problem_id=name)
         bounds = [row.derivative_bound for row in table.rows]
@@ -125,6 +124,10 @@ def test_run_study_validates_grid_sizes():
         run_study(spec, [4, 4])
     with pytest.raises(ValueError, match="divide"):
         run_study(spec, [7, 9])
+    # int() would truncate these to 8 and 16 and report rows for sizes never asked for
+    for ns in ([8.7, 16.2], [8.0, 16], [True, 4]):
+        with pytest.raises(ValueError, match="integer"):
+            run_study(corpus.build("f1_sin"), ns)
 
 
 def test_empirical_order_only_for_doubled_sizes():

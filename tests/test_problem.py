@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from dirbvp.expr import EvalError
+from dirbvp import corpus
+from dirbvp.convergence import ManufacturedProblem
+from dirbvp.expr import EvalError, evaluate, parse
 from dirbvp.problem import (
     ConditionReport,
+    ProblemSpec,
     apriori_bound,
     check_fx_lower,
     check_growth,
@@ -36,13 +39,23 @@ def test_make_spec_rejects_v_depending_on_x():
         make_spec("0", "x + 1", A=0.5, B=0.5, fx_lower=0.0)
 
 
-def test_make_spec_cross_checks_fx_override():
-    # a wrong derivative must be caught at construction
-    with pytest.raises(ValueError, match="finite difference"):
-        make_spec("x^2", "0", A=0.5, B=0.5, fx_lower=0.0, fx="3*x")
-    # a correct override passes
-    spec = make_spec("x^2", "0", A=0.5, B=0.5, fx_lower=0.0, fx="2*x")
-    assert spec.declared_A == 0.5
+@pytest.mark.parametrize("name", sorted(corpus.ENTRIES))
+def test_corpus_fx_matches_finite_differences(name):
+    # make_spec trusts the symbolic f_x; check it against centred differences
+    problem = corpus.build(name)
+    spec = problem.spec if isinstance(problem, ManufacturedProblem) else problem
+    step = 1e-6
+    checked = 0
+    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for x in (-0.93, -0.41, 0.17, 0.58, 0.94):
+            try:
+                analytic = evaluate(spec.fx, t, x)
+                fd = (evaluate(spec.f, t, x + step) - evaluate(spec.f, t, x - step)) / (2 * step)
+            except EvalError:
+                continue
+            assert abs(analytic - fd) <= 1e-5 * (1.0 + abs(analytic)), (t, x)
+            checked += 1
+    assert checked > 0
 
 
 def test_check_growth_f1_clean():
@@ -71,8 +84,14 @@ def test_check_growth_zero_function():
 
 def test_check_growth_reflexive_on_the_bound_itself():
     # f literally equal to A|x| + B can never violate its own bound
-    spec = make_spec(
-        "0.3*abs(x) + 0.2", "0", A=0.3, B=0.2, fx_lower=-0.3, fx="0.3*x/sqrt(x^2)"
+    # make_spec cannot differentiate abs; check_growth reads only f
+    spec = ProblemSpec(
+        f=parse("0.3*abs(x) + 0.2"),
+        fx=parse("0.3*x/sqrt(x^2)"),
+        v=parse("0"),
+        declared_A=0.3,
+        declared_B=0.2,
+        declared_fx_lower=-0.3,
     )
     assert not check_growth(spec, x_range=25.0).violated
 
