@@ -27,7 +27,7 @@ from .corpus import ConfigError, ProblemConfig, build_problem
 from .expr import EvalError, ParseError, evaluate, parse
 from .grid import norms, random_element
 from .problem import ProblemSpec, apriori_bound, check_fx_lower, check_growth, classify
-from .solver import CONVERGED, SolverConfig, newton_solve
+from .solver import CONVERGED, SolverConfig, _is_integer, newton_solve
 
 # Not called here; kept because the benchmark's tracer patches both names on this module.
 from .convergence import manufacture  # noqa: F401
@@ -320,13 +320,24 @@ def _run_norms(output, seed: int, n: int | None) -> int:
 
 def run(command: str, config: ProblemConfig | None, output=None, seed: int = 0,
         n: int | None = None) -> int:
-    """Execute one CLI command; returns the process exit status."""
+    """Execute one CLI command; returns the process exit status.
+
+    ``n`` is the ``--n`` option: the grid size of ``norms``, and for the
+    other commands an override of the config's ``N``.
+    """
     if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
+    if n is not None:
+        if not _is_integer(n):
+            raise ConfigError(f"option '--n': grid size must be an integer, got {n!r}")
+        if n < 2:
+            raise ConfigError("option '--n': grid size must be at least 2")
     if command == "norms":
         return _run_norms(output, seed, n)
     if config is None:
         raise ConfigError(f"{command} requires --config")
+    if n is not None:
+        config = replace(config, n=n)
     if command == "check":
         return _run_check(config, output)
     if command == "solve":
@@ -349,13 +360,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.n is not None and args.n < 2:
-            raise ConfigError("option '--n': grid size must be at least 2")
         config = None
         if args.config is not None:
             config = load_config(args.config)
-            if args.n is not None:
-                config = replace(config, n=args.n)
             if args.ns is not None:
                 config = replace(config, ns=_parse_ns(args.ns))
         return run(args.command, config, output=args.output, seed=args.seed, n=args.n)

@@ -18,6 +18,7 @@ evaluation, not of normal form.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -63,30 +64,40 @@ class NonDifferentiableError(ExprError):
     """Raised when a derivative of a non-smooth node is requested."""
 
 
+class _Node:
+    """Base of the tree nodes: holds each node's compiled form once built."""
+
+    @functools.cached_property
+    def _kernel(self):
+        # cached_property writes the instance __dict__, past the frozen
+        # __setattr__; dataclass equality, hashing and repr read fields only.
+        return _compile(self)
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str  # "t" or "x"
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "Expr"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str  # one of sin cos exp atan sqrt abs
     arg: "Expr"
 
@@ -241,47 +252,89 @@ def _operand(value):
     return np.float64(value)
 
 
-def _eval(node: Expr, t, x):
+def _compile(node: Expr):
+    """Closure computing ``node`` from numpy operands ``(t, x)``.
+
+    It performs the operations of a walk over the tree, in the order of
+    that walk, so its results are those of the walk bit for bit.  The
+    power branch is chosen here, once; a malformed tree (an unknown
+    operator or a variable exponent) raises EvalError here, before any
+    arithmetic.
+    """
     if isinstance(node, Num):
-        return np.float64(node.value)
+        value = np.float64(node.value)
+        return lambda t, x: value
     if isinstance(node, Var):
-        return t if node.name == "t" else x
+        if node.name == "t":
+            return lambda t, x: t
+        return lambda t, x: x
     if isinstance(node, Neg):
-        return -_eval(node.arg, t, x)
+        arg = node.arg._kernel
+        return lambda t, x: -arg(t, x)
     if isinstance(node, BinOp):
-        left = _eval(node.left, t, x)
+        left = node.left._kernel
         if node.op == "^":
-            return _eval_power(left, node.right)
-        right = _eval(node.right, t, x)
+            return _compile_power(left, node.right)
+        right = node.right._kernel
         if node.op == "+":
-            return left + right
+            return lambda t, x: left(t, x) + right(t, x)
         if node.op == "-":
-            return left - right
+            return lambda t, x: left(t, x) - right(t, x)
         if node.op == "*":
-            return left * right
+            return lambda t, x: left(t, x) * right(t, x)
         if node.op == "/":
-            if np.any(right == 0.0):
-                raise EvalError("division by zero")
-            return left / right
+
+            def divide(t, x):
+                numerator = left(t, x)
+                denominator = right(t, x)
+                if np.count_nonzero(denominator == 0.0):
+                    raise EvalError("division by zero")
+                return numerator / denominator
+
+            return divide
         raise EvalError(f"unknown operator {node.op!r}")
     if isinstance(node, Call):
-        arg = _eval(node.arg, t, x)
-        if node.fn == "sqrt" and np.any(arg < 0.0):
-            raise EvalError("sqrt of a negative value")
-        return _FUNCTIONS[node.fn](arg)
-    raise EvalError(f"unknown node {node!r}")
+        arg = node.arg._kernel
+        function = _FUNCTIONS[node.fn]
+        if node.fn == "sqrt":
+
+            def root(t, x):
+                value = arg(t, x)
+                if np.count_nonzero(value < 0.0):
+                    raise EvalError("sqrt of a negative value")
+                return function(value)
+
+            return root
+        return lambda t, x: function(arg(t, x))
+    raise TypeError(f"unknown node {node!r}")
 
 
-def _eval_power(base, exponent: Expr):
+def _compile_power(base, exponent: Expr):
     if not isinstance(exponent, Num):
         raise EvalError("exponent must be a constant")
     c = exponent.value
-    if c == round(c):
-        if c < 0 and np.any(base == 0.0):
-            raise EvalError("zero base with a negative exponent")
-    elif np.any(base <= 0.0):
-        raise EvalError("non-integer power of a non-positive base")
-    return np.power(base, c)
+    if c != round(c):
+
+        def power(t, x):
+            value = base(t, x)
+            if np.count_nonzero(value <= 0.0):
+                raise EvalError("non-integer power of a non-positive base")
+            return np.power(value, c)
+
+    elif c < 0:
+
+        def power(t, x):
+            value = base(t, x)
+            if np.count_nonzero(value == 0.0):
+                raise EvalError("zero base with a negative exponent")
+            return np.power(value, c)
+
+    else:
+
+        def power(t, x):
+            return np.power(base(t, x), c)
+
+    return power
 
 
 def evaluate(expr: Expr, t=0.0, x=0.0):
@@ -291,24 +344,27 @@ def evaluate(expr: Expr, t=0.0, x=0.0):
     array of the broadcast shape.  Domain failures (division by zero,
     sqrt of a negative, invalid powers, overflow) and non-finite t or x
     raise EvalError rather than propagating NaN or infinity.  Underflow
-    to zero is not an error.
+    to zero is not an error.  A tree is compiled on its first
+    evaluation and its compiled form is kept on the tree.
     """
     t = _operand(t)
     x = _operand(x)
-    if not (np.isfinite(t).all() and np.isfinite(x).all()):
+    if np.count_nonzero(np.isfinite(t)) < t.size or np.count_nonzero(np.isfinite(x)) < x.size:
         raise EvalError("non-finite input")
     # From finite inputs and constants only an operation that sets the
     # overflow, invalid or divide-by-zero flag yields inf or NaN.  Every
     # operand is numpy: Python-float arithmetic sets no flags.
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-            result = _eval(expr, t, x)
+            result = expr._kernel(t, x)
     except FloatingPointError as exc:
         raise EvalError(f"non-finite result: {exc}") from exc
-    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+    shape = np.broadcast(t, x).shape
     if shape == ():
         return float(result)
-    return np.broadcast_to(np.asarray(result, dtype=float), shape).copy()
+    out = np.empty(shape)
+    np.copyto(out, result)  # keeps -0.0, as a copy does
+    return out
 
 
 def diff(expr: Expr, var: str) -> Expr:

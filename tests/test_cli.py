@@ -348,6 +348,30 @@ def test_n_override_is_checked_like_the_config_field(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [(0, "at least 2"), (1, "at least 2"), (-3, "at least 2"), (2.5, "an integer, got 2.5"),
+     (8.0, "an integer, got 8.0"), (True, "an integer, got True")],
+)
+@pytest.mark.parametrize("command", ["check", "solve", "converge", "norms"])
+def test_run_checks_n_for_every_command(tmp_path, command, n, message):
+    # the library entry point applies the rule that main applies to --n
+    config = None if command == "norms" else load_config(write(tmp_path, F1_CONFIG))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=f"^option '--n': grid size must be {message}$"):
+        run(command, config, output=str(out), n=n)
+    assert not out.exists()
+    assert run("norms", None, output=str(out), n=2) == 0
+    assert out.read_text().count("\n2,") == 5
+
+
+def test_run_n_overrides_the_config_grid_size(tmp_path):
+    config = load_config(write(tmp_path, F1_CONFIG))  # N = 20
+    out = tmp_path / "solution.csv"
+    assert run("solve", config, output=str(out), n=8) == 0
+    assert out.read_text().splitlines()[-1].startswith("8,1,")
+
+
 NOWHERE_CONFIG = """\
 name = nowhere
 f = sqrt(-1 - x^2)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dirbvp.expr import (
     BinOp,
@@ -380,3 +382,134 @@ def test_parse_rejects_out_of_range_number():
     # an overflowing literal would enter evaluation as inf, where no flag is set
     with pytest.raises(ParseError, match="out of range"):
         parse("1e400*x")
+
+
+# Second reference: the trapped tree walk that evaluate ran before it
+# compiled trees, kept verbatim apart from the names.
+def _walk_eval(node, t, x):
+    if isinstance(node, Num):
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        return t if node.name == "t" else x
+    if isinstance(node, Neg):
+        return -_walk_eval(node.arg, t, x)
+    if isinstance(node, BinOp):
+        left = _walk_eval(node.left, t, x)
+        if node.op == "^":
+            return _walk_eval_power(left, node.right)
+        right = _walk_eval(node.right, t, x)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            if np.any(right == 0.0):
+                raise EvalError("division by zero")
+            return left / right
+        raise EvalError(f"unknown operator {node.op!r}")
+    if isinstance(node, Call):
+        arg = _walk_eval(node.arg, t, x)
+        if node.fn == "sqrt" and np.any(arg < 0.0):
+            raise EvalError("sqrt of a negative value")
+        return _REFERENCE_FUNCTIONS[node.fn](arg)
+    raise EvalError(f"unknown node {node!r}")
+
+
+def _walk_eval_power(base, exponent):
+    if not isinstance(exponent, Num):
+        raise EvalError("exponent must be a constant")
+    c = exponent.value
+    if c == round(c):
+        if c < 0 and np.any(base == 0.0):
+            raise EvalError("zero base with a negative exponent")
+    elif np.any(base <= 0.0):
+        raise EvalError("non-integer power of a non-positive base")
+    return np.power(base, c)
+
+
+def _walk_operand(value):
+    if isinstance(value, np.ndarray):
+        return value.astype(float, copy=False)
+    return np.float64(value)
+
+
+def _walk_evaluate(expr, t=0.0, x=0.0):
+    t = _walk_operand(t)
+    x = _walk_operand(x)
+    if not (np.isfinite(t).all() and np.isfinite(x).all()):
+        raise EvalError("non-finite input")
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            result = _walk_eval(expr, t, x)
+    except FloatingPointError as exc:
+        raise EvalError(f"non-finite result: {exc}") from exc
+    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+    if shape == ():
+        return float(result)
+    return np.broadcast_to(np.asarray(result, dtype=float), shape).copy()
+
+
+# Trees of the shape _domain_random_expr draws, so every domain check is reached.
+_leaves = st.one_of(
+    st.floats(-3.0, 3.0).map(Num), st.just(Num(0.0)), st.sampled_from([Var("t"), Var("x")])
+)
+_trees = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(
+            BinOp, st.just("^"), sub,
+            st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.5, 3.0, 7.0]).map(Num),
+        ),
+        st.builds(Call, st.sampled_from(sorted(_REFERENCE_FUNCTIONS)), sub),
+        st.builds(Neg, sub),
+    ),
+    max_leaves=12,
+)
+_coordinates = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+_points = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), _coordinates),
+    st.lists(st.tuples(st.floats(0.0, 1.0), _coordinates), min_size=1, max_size=6).map(
+        lambda pairs: tuple(np.array(column) for column in zip(*pairs))
+    ),
+    st.tuples(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        st.lists(_coordinates, min_size=1, max_size=4),
+    ).map(lambda lists: (np.array(lists[0])[:, None], np.array(lists[1])[None, :])),
+)
+
+
+def _message_or_value(fn, expr, t, x):
+    try:
+        return fn(expr, t, x)
+    except EvalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(expr=_trees, point=_points)
+# both operands fail, at different entries: the left one's error must win
+@example(expr=parse("sqrt(x)/(1/x)"), point=(0.5, np.array([-1.0, 0.0])))
+@example(expr=parse("sqrt(x) - x^-1"), point=(0.5, np.array([-1.0, 0.0])))
+def test_evaluate_matches_trapped_walk(expr, point):
+    t, x = point
+    expected = _message_or_value(_walk_evaluate, expr, t, x)
+    got = _message_or_value(evaluate, expr, t, x)
+    assert type(got) is type(expected)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(expected).view(np.int64))
+
+
+def test_evaluate_compiles_a_tree_on_first_use():
+    # parse evaluates each constant exponent, a tree no one evaluated before
+    tree = parse("x^(3 - 1/2)")
+    assert tree == BinOp("^", Var("x"), Num(2.5))
+    assert "_kernel" not in vars(tree)
+    assert evaluate(tree, 0.0, 4.0) == 32.0
+    assert "_kernel" in vars(tree)
+    assert tree == BinOp("^", Var("x"), Num(2.5)) and hash(tree) == hash(BinOp("^", Var("x"), Num(2.5)))
+    assert repr(tree) == "BinOp(op='^', left=Var(name='x'), right=Num(value=2.5))"

@@ -1,9 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dirbvp import corpus, discrete_op, solver
+from dirbvp import corpus, discrete_op, expr, solver
 from dirbvp.discrete_op import SingularJacobianError, jacobian, residual, solve_tridiagonal
 from dirbvp.expr import EvalError, evaluate
 from dirbvp.grid import GridFunction, norms, random_element, second_difference
@@ -293,6 +294,46 @@ def test_newton_evaluates_v_once(monkeypatch):
         assert any(lam < 1.0 for _, _, lam in report.step_trace)  # trials were rejected
         assert sum(expr is spec.v for expr in calls) == 1
         assert sum(expr is spec.f for expr in calls) > report.iterations + 1
+
+
+def tree_nodes(tree):
+    """Every node object of a tree, a shared subtree once."""
+    found = {}
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in found:
+            found[id(node)] = node
+            stack.extend(
+                child for child in (getattr(node, field.name) for field in fields(node))
+                if isinstance(child, (expr.Num, expr.Var, expr.Neg, expr.BinOp, expr.Call))
+            )
+    return found
+
+
+def test_newton_solve_compiles_each_node_at_most_once(monkeypatch):
+    compiled = []
+
+    def counting_compile(node, original=expr._compile):
+        compiled.append(id(node))
+        return original(node)
+
+    spec = corpus.build("f3")
+    nodes = {**tree_nodes(spec.f), **tree_nodes(spec.fx), **tree_nodes(spec.v)}
+    # building leaves the trees uncompiled; the first evaluation compiles them
+    assert not any("_kernel" in vars(node) for node in nodes.values())
+    monkeypatch.setattr(expr, "_compile", counting_compile)
+    first = newton_solve(spec, 64, SolverConfig(initial_guess=random_element(64, np.random.default_rng(3))))
+    assert first.status == CONVERGED and first.iterations >= 2
+    assert len(compiled) == len(set(compiled))
+    assert set(compiled) <= set(nodes)
+    # diff shares subtrees of f with fx; each was compiled once, for both trees
+    assert set(tree_nodes(spec.f)) & set(tree_nodes(spec.fx)) & set(compiled)
+
+    compiled.clear()
+    again = newton_solve(spec, 64, SolverConfig(initial_guess=random_element(64, np.random.default_rng(3))))
+    assert compiled == []
+    assert again.solution.values.tobytes() == first.solution.values.tobytes()
 
 
 def test_multi_start_agreement_f1():
