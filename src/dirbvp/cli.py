@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,9 +24,9 @@ import numpy as np
 from .convergence import ConvergenceTable, ManufacturedProblem, StudyError, run_study
 from .corpus import ConfigError, ProblemConfig, build_problem
 from .expr import EvalError, ParseError, evaluate, parse
-from .grid import norms, random_element
+from .grid import grid_size, norms, random_element
 from .problem import ProblemSpec, apriori_bound, check_fx_lower, check_growth, classify
-from .solver import CONVERGED, SolverConfig, _is_integer, newton_solve
+from .solver import CONVERGED, SolverConfig, newton_solve
 
 # Not called here; kept because the benchmark's tracer patches both names on this module.
 from .convergence import manufacture  # noqa: F401
@@ -81,12 +80,18 @@ def _parse_ns(value) -> tuple[int, ...]:
     try:
         ns = tuple(_integer(part) for part in parts)
     except (TypeError, ValueError):
-        raise ConfigError(f"field 'Ns': expected a comma-separated integer list, got {value!r}")
+        raise ValueError(f"expected a comma-separated integer list, got {value!r}")
     if not ns:
-        raise ConfigError("field 'Ns': list is empty")
-    if any(n < 2 for n in ns):
-        raise ConfigError("field 'Ns': every grid size must be at least 2")
-    return ns
+        raise ValueError("list is empty")
+    return tuple(map(grid_size, ns))
+
+
+def _convert(label: str, convert, value):
+    """``convert(value)``, with its TypeError or ValueError as a ConfigError naming ``label``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{label}: {exc}")
 
 
 def load_config(path) -> ProblemConfig:
@@ -117,19 +122,18 @@ def load_config(path) -> ProblemConfig:
         raise ConfigError(f"unknown field(s): {', '.join(sorted(unknown))}")
 
     def take(key, convert, default=None):
-        if key not in fields:
-            return default
-        try:
-            return convert(fields[key])
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field {key!r}: {exc}")
+        return _convert(f"field {key!r}", convert, fields[key]) if key in fields else default
 
     for key in ("f", "A", "B", "fx_lower"):
         if key not in fields:
             raise ConfigError(f"missing field: {key}")
 
+    settings = {key: take(key, convert) for key, convert in (("tol", _number), ("max_iter", _integer))
+                if key in fields}
+    try:
+        solver = SolverConfig(**settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     config = ProblemConfig(
         name=take("name", str, path.stem),
         f=take("f", str),
@@ -138,22 +142,10 @@ def load_config(path) -> ProblemConfig:
         A=take("A", _number),
         B=take("B", _number),
         fx_lower=take("fx_lower", _number),
-        n=take("N", _integer),
+        n=take("N", lambda value: grid_size(_integer(value))),
         ns=take("Ns", _parse_ns),
-        tol=take("tol", _number),
-        max_iter=take("max_iter", _integer),
+        solver=solver,
     )
-
-    if config.v is None and config.x_star is None:
-        raise ConfigError("missing field: v (or x_star, from which v is derived)")
-    if config.v is not None and config.x_star is not None:
-        raise ConfigError("give either v or x_star, not both: v is derived from x_star")
-    if config.n is not None and config.n < 2:
-        raise ConfigError("field 'N': grid size must be at least 2")
-    if config.tol is not None and not 0 < config.tol < math.inf:
-        raise ConfigError("field 'tol': must be positive and finite")
-    if config.max_iter is not None and config.max_iter < 1:
-        raise ConfigError("field 'max_iter': must be at least 1")
 
     for key in _EXPRESSION_FIELDS:
         value = getattr(config, key)
@@ -168,15 +160,6 @@ def load_config(path) -> ProblemConfig:
 
 def _spec_of(problem) -> ProblemSpec:
     return problem.spec if isinstance(problem, ManufacturedProblem) else problem
-
-
-def _solver_config(config: ProblemConfig) -> SolverConfig:
-    kwargs = {}
-    if config.tol is not None:
-        kwargs["tol"] = config.tol
-    if config.max_iter is not None:
-        kwargs["max_iter"] = config.max_iter
-    return SolverConfig(**kwargs)
 
 
 def _fmt(value: float) -> str:
@@ -254,7 +237,7 @@ def _run_solve(config: ProblemConfig, output) -> int:
     if config.n is None:
         raise ConfigError("solve requires N (config field N or --n)")
     spec = _spec_of(build_problem(config))
-    report = newton_solve(spec, config.n, _solver_config(config))
+    report = newton_solve(spec, config.n, config.solver)
 
     x = report.solution
     rows = zip(range(x.n + 1), x.nodes.tolist(), x.values.tolist())
@@ -282,7 +265,7 @@ def _run_converge(config: ProblemConfig, output) -> int:
         raise ConfigError("converge requires Ns (config field Ns or --ns)")
     problem = build_problem(config)
     try:
-        table = run_study(problem, config.ns, _solver_config(config), problem_id=config.name)
+        table = run_study(problem, config.ns, config.solver, problem_id=config.name)
     except StudyError as exc:
         _emit([_table_csv(exc.partial)], output)
         sys.stderr.write(f"error: {exc}\n")
@@ -328,10 +311,7 @@ def run(command: str, config: ProblemConfig | None, output=None, seed: int = 0,
     if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     if n is not None:
-        if not _is_integer(n):
-            raise ConfigError(f"option '--n': grid size must be an integer, got {n!r}")
-        if n < 2:
-            raise ConfigError("option '--n': grid size must be at least 2")
+        _convert("option '--n'", grid_size, n)
     if command == "norms":
         return _run_norms(output, seed, n)
     if config is None:
@@ -364,7 +344,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             config = load_config(args.config)
             if args.ns is not None:
-                config = replace(config, ns=_parse_ns(args.ns))
+                config = replace(config, ns=_convert("option '--ns'", _parse_ns, args.ns))
         return run(args.command, config, output=args.output, seed=args.seed, n=args.n)
     except (ConfigError, ParseError, EvalError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

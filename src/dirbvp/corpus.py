@@ -15,6 +15,7 @@ import numpy as np
 from .convergence import ManufacturedProblem, manufacture
 from .expr import ExprError
 from .problem import ProblemSpec, make_spec
+from .solver import SolverConfig
 
 __all__ = ["ConfigError", "ProblemConfig", "build_problem", "ENTRIES", "names", "build"]
 
@@ -34,8 +35,13 @@ class ProblemConfig:
     x_star: str | None = None
     n: int | None = None
     ns: tuple[int, ...] | None = None
-    tol: float | None = None
-    max_iter: int | None = None
+    solver: SolverConfig = SolverConfig()
+
+    def __post_init__(self):
+        if self.v is None and self.x_star is None:
+            raise ConfigError("missing field: v (or x_star, from which v is derived)")
+        if self.v is not None and self.x_star is not None:
+            raise ConfigError("give either v or x_star, not both: v is derived from x_star")
 
 
 def build_problem(config: ProblemConfig) -> ProblemSpec | ManufacturedProblem:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "is_integer",
+    "grid_size",
     "GridFunction",
     "GridNorms",
     "forward_difference",
@@ -19,6 +21,20 @@ __all__ = [
     "norms",
     "random_element",
 ]
+
+
+def is_integer(value) -> bool:
+    """True for an integer that is not a bool; a float never counts, even 20.0."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def grid_size(n):
+    """Return n if it is a grid size, an integer of at least 2; else raise ValueError."""
+    if not is_integer(n):
+        raise ValueError(f"grid size must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError("grid size must be at least 2")
+    return n
 
 
 @dataclass(frozen=True)
@@ -33,8 +49,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"subdivision count must be >= 2, got {self.n}")
+        grid_size(self.n)
         values = np.asarray(self.values, dtype=float).copy()
         if values.shape != (self.n + 1,):
             raise ValueError(
@@ -49,7 +64,7 @@ class GridFunction:
 
     @classmethod
     def zeros(cls, n: int) -> "GridFunction":
-        return cls(n, np.zeros(n + 1))
+        return cls(n, np.zeros(grid_size(n) + 1))
 
     @classmethod
     def from_interior(cls, interior) -> "GridFunction":
@@ -108,4 +123,4 @@ def norms(x: GridFunction) -> GridNorms:
 
 def random_element(n: int, rng: np.random.Generator, amplitude: float = 1.0) -> GridFunction:
     """Random grid function with interior values uniform in [-amplitude, amplitude]."""
-    return GridFunction.from_interior(rng.uniform(-amplitude, amplitude, n - 1))
+    return GridFunction.from_interior(rng.uniform(-amplitude, amplitude, grid_size(n) - 1))

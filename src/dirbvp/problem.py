@@ -21,6 +21,7 @@ __all__ = [
     "ConditionReport",
     "TheoremClassification",
     "make_spec",
+    "as_expr",
     "check_growth",
     "check_fx_lower",
     "classify",
@@ -74,8 +75,13 @@ class TheoremClassification:
     discrete_theorem_applies: bool
 
 
-def _as_expr(value) -> Expr:
-    return parse(value) if isinstance(value, str) else value
+def as_expr(value, name: str) -> Expr:
+    """Parse a source string, pass an expression tree through, and reject anything else."""
+    if isinstance(value, str):
+        return parse(value)
+    if not isinstance(value, Expr):
+        raise TypeError(f"{name} must be an expression string or tree, got {value!r}")
+    return value
 
 
 def make_spec(f, v, *, A: float, B: float, fx_lower: float) -> ProblemSpec:
@@ -86,8 +92,8 @@ def make_spec(f, v, *, A: float, B: float, fx_lower: float) -> ProblemSpec:
     is no way to supply one.  ``abs`` is therefore usable in v only; in f
     it raises ``NonDifferentiableError``.
     """
-    f = _as_expr(f)
-    v = _as_expr(v)
+    f = as_expr(f, "f")
+    v = as_expr(v, "v")
     if not all(math.isfinite(c) for c in (A, B, fx_lower)):
         raise ValueError("declared constants A, B and fx_lower must be finite")
     if A <= 0.0 or B <= 0.0:
@@ -123,12 +129,13 @@ def _sample_grids(x_range: float, samples_t: int, samples_x: int):
     return t_grid, x_grid
 
 
-def _report(condition, t_grid, x_grid, lhs, rhs) -> ConditionReport:
-    bad = lhs > rhs if condition == "growth" else lhs < rhs
+def _report(condition, t_grid, x_grid, bad, lhs, rhs) -> ConditionReport:
+    """Report where the mask ``bad`` holds; ``rhs`` broadcasts against ``lhs``."""
     count = int(np.count_nonzero(bad))
     witnesses = []
     if count:
         rows, cols = np.nonzero(bad)
+        rhs = np.broadcast_to(rhs, lhs.shape)
         for i, j in zip(rows[:_WITNESS_CAP], cols[:_WITNESS_CAP]):
             witnesses.append(
                 (float(t_grid[i]), float(x_grid[j]), float(lhs[i, j]), float(rhs[i, j]))
@@ -153,9 +160,8 @@ def check_growth(
     except EvalError as exc:
         _locate_failure(spec.f, t_grid, x_grid, exc)
     lhs = np.abs(f_vals)
-    rhs = spec.declared_A * np.abs(x_grid)[None, :] + spec.declared_B
-    rhs = np.broadcast_to(rhs, lhs.shape)
-    return _report("growth", t_grid, x_grid, lhs, rhs)
+    rhs = spec.declared_A * np.abs(x_grid) + spec.declared_B
+    return _report("growth", t_grid, x_grid, lhs > rhs, lhs, rhs)
 
 
 def check_fx_lower(
@@ -167,8 +173,8 @@ def check_fx_lower(
         fx_vals = evaluate(spec.fx, t_grid[:, None], x_grid[None, :])
     except EvalError as exc:
         _locate_failure(spec.fx, t_grid, x_grid, exc)
-    rhs = np.full_like(fx_vals, spec.declared_fx_lower)
-    return _report("fx_lower", t_grid, x_grid, fx_vals, rhs)
+    rhs = spec.declared_fx_lower
+    return _report("fx_lower", t_grid, x_grid, fx_vals < rhs, fx_vals, rhs)
 
 
 def classify(spec: ProblemSpec) -> TheoremClassification:

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .discrete_op import SingularJacobianError, _residual, jacobian, residual, solve_tridiagonal
 from .expr import EvalError, evaluate
-from .grid import GridFunction
+from .grid import GridFunction, is_integer, random_element
 from .problem import ProblemSpec
 
 __all__ = [
@@ -42,11 +41,6 @@ _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 1e-14
 
 
-def _is_integer(value) -> bool:
-    """True for an integer that is not a bool; a float never counts, even 20.0."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 class SolverError(RuntimeError):
     """A solve that was required to converge did not."""
 
@@ -61,7 +55,7 @@ class SolverConfig:
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
         # a NaN limit compares false with every count and is never reached
-        if not _is_integer(self.max_iter) or self.max_iter < 1:
+        if not is_integer(self.max_iter) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer of at least 1")
 
 
@@ -173,7 +167,7 @@ def multi_start_uniqueness(
     rng = np.random.default_rng(seed)
     solutions = []
     for i in range(starts):
-        guess = GridFunction.from_interior(rng.uniform(-amplitude, amplitude, n - 1))
+        guess = random_element(n, rng, amplitude)
         rep = newton_solve(spec, n, replace(cfg, initial_guess=guess))
         if rep.status != CONVERGED:
             raise SolverError(

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from dirbvp import cli, corpus
-from dirbvp.cli import ConfigError, build_problem, load_config, main, run
-from dirbvp.convergence import ManufacturedProblem
-from dirbvp.solver import newton_solve
+from dirbvp.cli import ConfigError, ProblemConfig, build_problem, load_config, main, run
+from dirbvp.convergence import ManufacturedProblem, run_study
+from dirbvp.grid import GridFunction, random_element
+from dirbvp.solver import SolverConfig, newton_solve
 
 F1_CONFIG = """\
 # canonical bounded-nonlinearity problem
@@ -57,7 +58,10 @@ def test_load_config_flat(tmp_path):
     assert config.name == "f1"
     assert config.A == 0.1 and config.B == 0.5 and config.fx_lower == -0.25
     assert config.n == 20 and config.ns == (4, 8, 16)
+    assert config.solver == SolverConfig()
     assert not isinstance(build_problem(config), ManufacturedProblem)
+    config = load_config(write(tmp_path, F1_CONFIG + "tol = 1e-8\nmax_iter = 7\n"))
+    assert config.solver == SolverConfig(tol=1e-8, max_iter=7)
 
 
 def test_load_config_json(tmp_path):
@@ -109,6 +113,14 @@ def test_load_config_v_and_x_star_rules(tmp_path):
     both = QUAD_CONFIG + "x_star = t^2 - t\n"
     with pytest.raises(ConfigError, match="not both"):
         load_config(write(tmp_path, both))
+    # the library builder and replace() apply the same rule
+    with pytest.raises(ConfigError, match="missing field: v"):
+        build_problem(ProblemConfig(name="q", f="0", A=0.1, B=0.1, fx_lower=0.0))
+    with pytest.raises(ConfigError, match="not both"):
+        build_problem(ProblemConfig(name="q", f="0", v="2", x_star="t^2 - t", A=0.1, B=0.1,
+                                    fx_lower=0.0))
+    with pytest.raises(ConfigError, match="not both"):
+        replace(corpus.ENTRIES["f1"], x_star="t^2 - t")
 
 
 def test_load_config_validates_ns(tmp_path):
@@ -337,14 +349,15 @@ def test_non_differentiable_expression_is_a_config_error(tmp_path, capsys, field
 @pytest.mark.parametrize(
     "argv",
     [["solve", "--n", "-3"], ["solve", "--n", "1"], ["check", "--n", "0"],
-     ["converge", "--n", "1"], ["norms", "--n", "0"], ["norms", "--n", "-2"]],
+     ["converge", "--n", "1"], ["norms", "--n", "0"], ["norms", "--n", "-2"],
+     ["converge", "--ns", "4,1"], ["converge", "--ns", "0"]],
 )
 def test_n_override_is_checked_like_the_config_field(tmp_path, capsys, argv):
     if argv[0] != "norms":
         argv = argv + ["--config", str(write(tmp_path, F1_CONFIG))]
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == 2
-    assert capsys.readouterr().err == "error: option '--n': grid size must be at least 2\n"
+    assert capsys.readouterr().err == f"error: option '{argv[1]}': grid size must be at least 2\n"
     assert not out.exists()
 
 
@@ -361,6 +374,14 @@ def test_run_checks_n_for_every_command(tmp_path, command, n, message):
     with pytest.raises(ConfigError, match=f"^option '--n': grid size must be {message}$"):
         run(command, config, output=str(out), n=n)
     assert not out.exists()
+    # so does the function behind the command, with the rule's own message
+    spec = corpus.build("f1")
+    behind = {"check": lambda: GridFunction(n, [0.0, 0.5, 0.0]),
+              "solve": lambda: newton_solve(spec, n),
+              "converge": lambda: run_study(spec, [n]),
+              "norms": lambda: random_element(n, np.random.default_rng(0))}
+    with pytest.raises(ValueError, match=f"^grid size must be {message}$"):
+        behind[command]()
     assert run("norms", None, output=str(out), n=2) == 0
     assert out.read_text().count("\n2,") == 5
 

@@ -10,7 +10,9 @@ from dirbvp.convergence import (
     run_study,
 )
 from dirbvp.expr import NonDifferentiableError, evaluate
+from dirbvp.grid import GridFunction
 from dirbvp.problem import make_spec
+from dirbvp.solver import multi_start_uniqueness, newton_solve
 
 F1 = "(t + sin(x))/(2*x^2 + 4)"
 
@@ -128,6 +130,13 @@ def test_run_study_validates_grid_sizes():
     for ns in ([8.7, 16.2], [8.0, 16], [True, 4]):
         with pytest.raises(ValueError, match="integer"):
             run_study(corpus.build("f1_sin"), ns)
+    # the grid functions the solves build hold to the same rule
+    for n in (2.0, True, 1):
+        with pytest.raises(ValueError, match="grid size must be"):
+            GridFunction(n, [0.0, 0.5, 0.0])
+    for solve in (newton_solve, multi_start_uniqueness):
+        with pytest.raises(ValueError, match="^grid size must be an integer, got 2.5$"):
+            solve(spec, 2.5)
 
 
 def test_empirical_order_only_for_doubled_sizes():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dirbvp import corpus
-from dirbvp.convergence import ManufacturedProblem
+from dirbvp.convergence import ManufacturedProblem, manufacture
 from dirbvp.expr import EvalError, evaluate, parse
 from dirbvp.problem import (
     ConditionReport,
@@ -37,6 +37,17 @@ def test_make_spec_rejects_non_finite_constant(constant):
 def test_make_spec_rejects_v_depending_on_x():
     with pytest.raises(ValueError, match="t only"):
         make_spec("0", "x + 1", A=0.5, B=0.5, fx_lower=0.0)
+
+
+@pytest.mark.parametrize(
+    "build, f, g, name",
+    [(make_spec, "0", None, "v"), (make_spec, "0", 2.0, "v"), (make_spec, None, "1", "f"),
+     (manufacture, "0", None, "x_star"), (manufacture, None, "t^2 - t", "f")],
+)
+def test_builders_take_only_expressions(build, f, g, name):
+    # a value of another type would otherwise fail later, far from the call that took it
+    with pytest.raises(TypeError, match=f"^{name} must be an expression string or tree, got "):
+        build(f, g, A=0.1, B=0.1, fx_lower=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(corpus.ENTRIES))
