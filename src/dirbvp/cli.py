@@ -128,12 +128,9 @@ def load_config(path) -> ProblemConfig:
         if key not in fields:
             raise ConfigError(f"missing field: {key}")
 
-    settings = {key: take(key, convert) for key, convert in (("tol", _number), ("max_iter", _integer))
-                if key in fields}
-    try:
-        solver = SolverConfig(**settings)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    solver = SolverConfig()
+    for key, convert in (("tol", _number), ("max_iter", _integer)):
+        solver = take(key, lambda value: replace(solver, **{key: convert(value)}), solver)
     config = ProblemConfig(
         name=take("name", str, path.stem),
         f=take("f", str),

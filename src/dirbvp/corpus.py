@@ -42,6 +42,8 @@ class ProblemConfig:
             raise ConfigError("missing field: v (or x_star, from which v is derived)")
         if self.v is not None and self.x_star is not None:
             raise ConfigError("give either v or x_star, not both: v is derived from x_star")
+        if self.solver.initial_guess is not None:
+            raise ConfigError("a problem config takes no initial guess; pass it to newton_solve")
 
 
 def build_problem(config: ProblemConfig) -> ProblemSpec | ManufacturedProblem:
