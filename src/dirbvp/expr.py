@@ -362,6 +362,11 @@ def evaluate(expr: Expr, t=0.0, x=0.0):
     shape = np.broadcast(t, x).shape
     if shape == ():
         return float(result)
+    # A fresh full-shape array is the caller's alone; an input, a scalar or
+    # a partial broadcast is not, and is copied.
+    fresh = isinstance(result, np.ndarray) and result is not t and result is not x
+    if fresh and result.shape == shape and result.flags.c_contiguous:
+        return result
     out = np.empty(shape)
     np.copyto(out, result)  # keeps -0.0, as a copy does
     return out

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _WITNESS_CAP = 10
+_BLOCK_ROWS = 32  # 32 x 2001 doubles is 512 KB: a block's temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -129,17 +130,30 @@ def _sample_grids(x_range: float, samples_t: int, samples_x: int):
     return t_grid, x_grid
 
 
-def _report(condition, t_grid, x_grid, bad, lhs, rhs) -> ConditionReport:
-    """Report where the mask ``bad`` holds; ``rhs`` broadcasts against ``lhs``."""
-    count = int(np.count_nonzero(bad))
+def _scan(condition, expr, t_grid, x_grid, rhs, violates) -> ConditionReport:
+    """Evaluate ``expr`` in row blocks and report where it breaks the bound ``rhs``.
+
+    ``violates(block)`` may first turn the block into the left-hand side in
+    place; it returns the mask of violations of ``rhs[j]``, the bound at
+    ``x_grid[j]``.  Witnesses are the first violations in row-major order.
+    """
+    count = 0
     witnesses = []
-    if count:
-        rows, cols = np.nonzero(bad)
-        rhs = np.broadcast_to(rhs, lhs.shape)
-        for i, j in zip(rows[:_WITNESS_CAP], cols[:_WITNESS_CAP]):
-            witnesses.append(
-                (float(t_grid[i]), float(x_grid[j]), float(lhs[i, j]), float(rhs[i, j]))
-            )
+    for start in range(0, t_grid.size, _BLOCK_ROWS):
+        t_block = t_grid[start : start + _BLOCK_ROWS]
+        try:
+            lhs = evaluate(expr, t_block[:, None], x_grid[None, :])
+        except EvalError as exc:
+            _locate_failure(expr, t_grid[start:], x_grid, exc)
+        bad = violates(lhs)
+        found = int(np.count_nonzero(bad))
+        if found and len(witnesses) < _WITNESS_CAP:
+            rows, cols = np.nonzero(bad)
+            for i, j in zip(rows[: _WITNESS_CAP - len(witnesses)], cols):
+                witnesses.append(
+                    (float(t_block[i]), float(x_grid[j]), float(lhs[i, j]), float(rhs[j]))
+                )
+        count += found
     return ConditionReport(
         condition=condition,
         verdict="violated" if count else "no-violation-found",
@@ -155,13 +169,8 @@ def check_growth(
 ) -> ConditionReport:
     """Sample |f(t,x)| <= A|x| + B on [0,1] x [-x_range, x_range]."""
     t_grid, x_grid = _sample_grids(x_range, samples_t, samples_x)
-    try:
-        f_vals = evaluate(spec.f, t_grid[:, None], x_grid[None, :])
-    except EvalError as exc:
-        _locate_failure(spec.f, t_grid, x_grid, exc)
-    lhs = np.abs(f_vals)
     rhs = spec.declared_A * np.abs(x_grid) + spec.declared_B
-    return _report("growth", t_grid, x_grid, lhs > rhs, lhs, rhs)
+    return _scan("growth", spec.f, t_grid, x_grid, rhs, lambda f: np.abs(f, out=f) > rhs)
 
 
 def check_fx_lower(
@@ -169,12 +178,8 @@ def check_fx_lower(
 ) -> ConditionReport:
     """Sample f_x(t,x) >= declared_fx_lower on [0,1] x [-x_range, x_range]."""
     t_grid, x_grid = _sample_grids(x_range, samples_t, samples_x)
-    try:
-        fx_vals = evaluate(spec.fx, t_grid[:, None], x_grid[None, :])
-    except EvalError as exc:
-        _locate_failure(spec.fx, t_grid, x_grid, exc)
-    rhs = spec.declared_fx_lower
-    return _report("fx_lower", t_grid, x_grid, fx_vals < rhs, fx_vals, rhs)
+    rhs = np.full(samples_x, spec.declared_fx_lower)
+    return _scan("fx_lower", spec.fx, t_grid, x_grid, rhs, lambda fx: fx < rhs)
 
 
 def classify(spec: ProblemSpec) -> TheoremClassification:

@@ -513,3 +513,46 @@ def test_evaluate_compiles_a_tree_on_first_use():
     assert "_kernel" in vars(tree)
     assert tree == BinOp("^", Var("x"), Num(2.5)) and hash(tree) == hash(BinOp("^", Var("x"), Num(2.5)))
     assert repr(tree) == "BinOp(op='^', left=Var(name='x'), right=Num(value=2.5))"
+
+
+_COLUMN = np.array([[0.0], [-0.0], [1.0]])
+_ROW = np.array([[-0.0, 0.0, 2.0]])
+_FULL = np.array([[-0.0, 0.5, 0.0], [1.0, -0.0, -2.0], [0.0, 3.0, -0.0]])
+
+
+@pytest.mark.parametrize(
+    "source, reference",
+    [
+        ("2", lambda t, x: np.float64(2.0)),
+        ("-0", lambda t, x: -np.float64(0.0)),
+        ("t", lambda t, x: t),
+        ("x", lambda t, x: x),
+        ("-x", lambda t, x: -x),
+        ("-t", lambda t, x: -t),
+        ("t*x - x", lambda t, x: t * x - x),
+        ("-(t + x)", lambda t, x: -(t + x)),
+    ],
+)
+@pytest.mark.parametrize(
+    "t, x",
+    [
+        (_COLUMN, _ROW),
+        (_FULL, _FULL),
+        (_FULL, -0.0),
+        (0.0, _FULL),
+        (_FULL, _FULL.copy()),
+        (np.asfortranarray(_FULL), np.asfortranarray(_FULL.T)),
+    ],
+)
+def test_evaluate_result_is_never_an_input(source, reference, t, x):
+    saved_t, saved_x = np.array(t), np.array(x)
+    out = evaluate(parse(source), t, x)
+    shape = np.broadcast(t, x).shape
+    assert out.shape == shape and out.flags.c_contiguous
+    for operand in (t, x):
+        assert out is not operand and not np.shares_memory(out, operand)
+    expected = np.broadcast_to(reference(np.asarray(t, float), np.asarray(x, float)), shape)
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))  # keeps -0.0
+    out[...] = 7.0
+    assert np.array_equal(np.asarray(t).view(np.int64), np.asarray(saved_t).view(np.int64))
+    assert np.array_equal(np.asarray(x).view(np.int64), np.asarray(saved_x).view(np.int64))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,97 @@ def test_check_reports_eval_failure_with_location():
     spec = make_spec("1/(x - 1)", "0", A=0.5, B=0.5, fx_lower=-10.0)
     with pytest.raises(EvalError, match="sample point"):
         check_growth(spec, x_range=2.0, samples_t=3, samples_x=5)
+
+
+def _full_box_report(spec, condition, x_range, samples_t=201, samples_x=2001):
+    """The report built from one whole-box evaluation and whole-mask counts."""
+    t_grid = np.linspace(0.0, 1.0, samples_t)
+    x_grid = np.linspace(-x_range, x_range, samples_x)
+    if condition == "growth":
+        lhs = np.abs(evaluate(spec.f, t_grid[:, None], x_grid[None, :]))
+        rhs = np.broadcast_to(spec.declared_A * np.abs(x_grid) + spec.declared_B, lhs.shape)
+        bad = lhs > rhs
+    else:
+        lhs = evaluate(spec.fx, t_grid[:, None], x_grid[None, :])
+        rhs = np.full(lhs.shape, spec.declared_fx_lower)
+        bad = lhs < rhs
+    rows, cols = np.nonzero(bad)
+    witnesses = tuple(
+        (float(t_grid[i]), float(x_grid[j]), float(lhs[i, j]), float(rhs[i, j]))
+        for i, j in zip(rows[:10], cols[:10])
+    )
+    return int(np.count_nonzero(bad)), witnesses
+
+
+@pytest.mark.parametrize(
+    "f, A, B, fx_lower, condition, x_range, samples_t",
+    [
+        # only rows 195..200 violate: all of them in the last, 9-row block
+        ("-t", 1e-3, 0.97, -1.0, "growth", 1.0, 201),
+        # rows 31..33 near x = 0: 9 witnesses in row 31, the tenth in row 32
+        ("x*(t - 0.16)^2 + x^3/3", 1.0, 1.0, 5e-5, "fx_lower", 1.0, 201),
+        # only row 32, the second block's one row
+        ("-t", 1e-3, 0.97, -1.0, "growth", 1.0, 33),
+        # every point, so the cap is reached inside the first row
+        ("-2*x", 2.5, 0.1, -1.0, "fx_lower", 10.0, 201),
+        ("x + 20", 0.5, 0.1, 0.0, "growth", 10.0, 201),
+        # |x| > B/(1 - A) in every row of two full blocks
+        ("x", 0.5, 0.1, 0.0, "growth", 10.0, 64),
+    ],
+)
+def test_check_witnesses_and_count_match_full_box(f, A, B, fx_lower, condition, x_range, samples_t):
+    spec = make_spec(f, "0", A=A, B=B, fx_lower=fx_lower)
+    check = check_growth if condition == "growth" else check_fx_lower
+    report = check(spec, x_range=x_range, samples_t=samples_t)
+    count, witnesses = _full_box_report(spec, condition, x_range, samples_t)
+    assert count > 0
+    assert report.violation_count == count
+    assert report.witnesses == witnesses
+    assert report.violated and report.condition == condition
+
+
+def _first_failure(failing, samples_t, x_range, samples_x=2001):
+    t_grid = np.linspace(0.0, 1.0, samples_t)
+    x_grid = np.linspace(-x_range, x_range, samples_x)
+    with np.errstate(all="ignore"):
+        mask = np.broadcast_to(failing(t_grid[:, None], x_grid[None, :]), (samples_t, samples_x))
+    i, j = np.unravel_index(np.argmax(mask), mask.shape)
+    assert mask[i, j]
+    return t_grid[i], x_grid[j]
+
+
+@pytest.mark.parametrize(
+    "f, failing, samples_t, check",
+    [
+        # row 100 of 201, in the fourth 32-row block
+        ("1/(t - 0.5)", lambda t, x: t == 0.5, 201, check_growth),
+        ("1/(t - 0.5)", lambda t, x: t == 0.5, 201, check_fx_lower),
+        ("1/(t - 1)", lambda t, x: t == 1.0, 2, check_growth),
+        ("1/(t - 1)", lambda t, x: t == 1.0, 33, check_growth),
+        ("1/(t - 1)", lambda t, x: t == 1.0, 201, check_fx_lower),
+        # first fails at row 51 (second block), inside the x range
+        ("sqrt((x - 1)^2 + 1 - 4*t)", lambda t, x: (x - 1) ** 2 + 1 - 4 * t < 0, 201, check_growth),
+    ],
+)
+def test_check_names_first_failing_point_in_a_later_block(f, failing, samples_t, check):
+    spec = make_spec(f, "0", A=0.5, B=0.5, fx_lower=-10.0)
+    t, x = _first_failure(failing, samples_t, x_range=2.0)
+    with pytest.raises(EvalError) as info:
+        check(spec, x_range=2.0, samples_t=samples_t)
+    assert str(info.value).startswith(f"evaluation failed at sample point (t={t}, x={x}): ")
+
+
+@pytest.mark.parametrize("check", [check_growth, check_fx_lower])
+def test_check_memory_stays_below_one_full_box_array(check):
+    spec = corpus.build("f1")
+    check(spec, x_range=10.0)  # compile the trees outside the traced run
+    tracemalloc.start()
+    try:
+        check(spec, x_range=10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 201 * 2001 * 8
 
 
 def test_check_rejects_bad_sampling():
