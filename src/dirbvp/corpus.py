@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convergence import ManufacturedProblem, manufacture
-from .expr import ExprError
-from .problem import ProblemSpec, make_spec
+from .expr import ExprError, ParseError
+from .problem import ProblemSpec, as_expr, make_spec
 from .solver import SolverConfig
 
 __all__ = ["ConfigError", "ProblemConfig", "build_problem", "ENTRIES", "names", "build"]
@@ -50,14 +50,21 @@ def build_problem(config: ProblemConfig) -> ProblemSpec | ManufacturedProblem:
     """Turn a config into a solvable problem, deriving v when x_star is given.
 
     Every failure to build, a non-differentiable f or x_star included, is
-    a ``ConfigError``.
+    a ``ConfigError``; a syntax error names the field it is in.
     """
+    trees = {}
+    for key in ("f", "v", "x_star"):
+        source = getattr(config, key)
+        if source is not None:
+            try:
+                trees[key] = as_expr(source, key)
+            except ParseError as exc:
+                raise ConfigError(f"field {key!r}: {exc}")
+    constants = dict(A=config.A, B=config.B, fx_lower=config.fx_lower)
     try:
         if config.x_star is not None:
-            return manufacture(
-                config.f, config.x_star, A=config.A, B=config.B, fx_lower=config.fx_lower
-            )
-        return make_spec(config.f, config.v, A=config.A, B=config.B, fx_lower=config.fx_lower)
+            return manufacture(trees["f"], trees["x_star"], **constants)
+        return make_spec(trees["f"], trees["v"], **constants)
     except (ExprError, ValueError) as exc:
         raise ConfigError(f"config {config.name!r}: {exc}")
 

@@ -29,10 +29,14 @@ __all__ = [
 ]
 
 _PIVOT_REL_TOL = 1e-12
+# Thomas elimination up to this order, cyclic reduction above it (the two
+# cross near order 1000; small solves stay bitwise those of Thomas)
+_THOMAS_MAX_ORDER = 2048
 
 
 class SingularJacobianError(RuntimeError):
-    """Raised when elimination meets a vanishing pivot.
+    """Raised when elimination meets a vanishing pivot, or cyclic reduction
+    a vanishing pivot or a non-finite result.
 
     With f_x > -1 the (negated) Jacobian is symmetric positive definite,
     so pivots stay positive; a near-zero pivot signals a genuine
@@ -112,15 +116,28 @@ def solve_tridiagonal(matrix: Tridiagonal, rhs) -> np.ndarray:
 
     Pivoting is unnecessary here: the negated Jacobian tridiag(-1, 2 +
     f_x/N^2, -1) is symmetric positive definite whenever f_x > -1, so
-    elimination pivots stay bounded away from zero.  A pivot at or below
-    1e-12 times its row scale, max(|d|, 1) (|d| at order 1), is reported
-    as singular.  The loop runs on Python floats, which do the same IEEE
-    operations as numpy scalars at a fraction of the cost.
+    elimination pivots stay bounded away from zero.
+
+    Orders up to 2048 run Thomas elimination, a loop on Python floats,
+    which do the same IEEE operations as numpy scalars at a fraction of
+    the cost.  A pivot at or below 1e-12 times its row scale, max(|d|, 1)
+    (|d| at order 1), is reported as singular.
+
+    Larger orders run odd-even cyclic reduction on numpy arrays, which
+    does the same elimination in another order, so its results differ
+    from Thomas's in the last bits (more so as the condition number,
+    about N^2 for the Jacobian, grows).  Each row's pivot is its diagonal
+    when the row is eliminated; it is reported as singular when at or
+    below 1e-12 times the scale, max(|d|, |couplings|), of the row it was
+    reduced from (max(|d|, 1) for an original row).  A non-finite result
+    is reported as singular too.  Either route names the original row.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = matrix.order
     if rhs.shape != (m,):
         raise ValueError(f"expected right-hand side of length {m}, got {rhs.shape}")
+    if m > _THOMAS_MAX_ORDER:
+        return _cyclic_reduction(matrix.diag, rhs)
     d = matrix.diag
     floor = 1.0 if m > 1 else 0.0
     limit = (_PIVOT_REL_TOL * np.maximum(np.abs(d), floor)).tolist()
@@ -142,6 +159,50 @@ def solve_tridiagonal(matrix: Tridiagonal, rhs) -> np.ndarray:
     for i in range(m - 2, -1, -1):
         g[i] = (g[i] - g[i + 1]) / w[i]
     return np.array(g)
+
+
+def _cyclic_reduction(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Row j of level l is original row (j + 1)·2^l - 1 and couples to its
+    # neighbours through the symmetric off-diagonal e (ones at level 0).  Each
+    # level eliminates its even rows into its odd ones, down to one row.
+    e = np.ones(d.size - 1)
+    scale = np.maximum(np.abs(d), 1.0)
+    levels = []
+    with np.errstate(all="ignore"):  # overflow and NaN are caught by the checks
+        while True:
+            # ``not >`` also catches a NaN pivot
+            bad = np.flatnonzero(~(np.abs(d[0::2]) > _PIVOT_REL_TOL * scale[0::2]))
+            if bad.size:
+                row = (2 * bad[0] + 1) * 2 ** len(levels) - 1
+                raise SingularJacobianError(f"vanishing pivot at row {row}")
+            if d.size == 1:
+                break
+            de, be, dk = d[0::2], b[0::2], d[1::2]
+            el, er = e[0::2], e[1::2]  # couplings of the odd rows, left and right
+            k, r = el.size, er.size
+            ql, qr = el / de[:k], er / de[1 : r + 1]
+            d = dk - ql * el
+            d[:r] -= qr * er
+            b = b[1::2] - ql * be[:k]
+            b[:r] -= qr * be[1 : r + 1]
+            scale = np.maximum(np.abs(dk), np.abs(el))
+            np.maximum(scale[:r], np.abs(er), out=scale[:r])
+            e = -qr[: k - 1] * el[1:]
+            levels.append((de, be, el, er))
+
+        x = b / d
+        for de, be, el, er in reversed(levels):
+            xe = be.copy()
+            xe[: x.size] -= el * x
+            xe[1 : er.size + 1] -= er * x[: er.size]
+            xe /= de
+            level_x = np.empty(de.size + x.size)
+            level_x[0::2], level_x[1::2] = xe, x
+            x = level_x
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise SingularJacobianError(f"non-finite solution at row {bad[0]}")
+    return x
 
 
 def phi_N(spec: ProblemSpec, x: GridFunction, a, h: GridFunction) -> float:

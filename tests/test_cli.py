@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dirbvp import cli, corpus
+from dirbvp import problem as problem_module
 from dirbvp.cli import ConfigError, ProblemConfig, build_problem, load_config, main, run
 from dirbvp.convergence import ManufacturedProblem, run_study
 from dirbvp.grid import GridFunction, random_element
@@ -97,10 +98,37 @@ def test_load_config_missing_field(tmp_path):
         load_config(write(tmp_path, text))
 
 
-def test_load_config_expression_error_names_field(tmp_path):
-    text = F1_CONFIG.replace("f = (t + sin(x))/(2*x^2 + 4)", "f = x +")
-    with pytest.raises(ConfigError, match="'f'"):
-        load_config(write(tmp_path, text))
+@pytest.mark.parametrize(
+    "text, field",
+    [(F1_CONFIG.replace("f = (t + sin(x))/(2*x^2 + 4)", "f = x +"), "f"),
+     (F1_CONFIG.replace("v = 1", "v = 1 +* t"), "v"),
+     (F1_SIN_CONFIG.replace("x_star = sin(pi*t)", "x_star = sin(pi*t"), "x_star")],
+    ids=["f", "v", "x_star"],
+)
+def test_expression_syntax_error_names_field(tmp_path, capsys, text, field):
+    # load_config leaves expressions to the one builder, which names the field;
+    # every command builds a given config first, norms too
+    path = write(tmp_path, text)
+    config = load_config(path)
+    with pytest.raises(ConfigError, match=f"^field '{field}': "):
+        build_problem(config)
+    for command in ("check", "solve", "converge", "norms"):
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: field '{field}': ")
+
+
+def test_check_parses_each_expression_once(monkeypatch, capsys):
+    parsed = []
+    # load_config parsed through cli's name for parse, the builder parses through problem's
+    for module in (cli, problem_module):
+        def counting_parse(source, original=module.parse):
+            parsed.append(source)
+            return original(source)
+
+        monkeypatch.setattr(module, "parse", counting_parse)
+    assert main(["check", "--config", str(CONFIGS / "f1_sin.txt")]) == 0
+    assert sorted(parsed) == sorted([corpus.ENTRIES["f1_sin"].f, corpus.ENTRIES["f1_sin"].x_star])
 
 
 def test_load_config_rejects_unknown_and_duplicate_fields(tmp_path):
@@ -203,20 +231,26 @@ def test_solve_closed_form_row(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", [F1_CONFIG, F1_SIN_CONFIG], ids=["f1", "f1_sin"])
-def test_solve_csv_matches_per_row_format(tmp_path, text):
-    # the CSV is the one-pass %-format of each row; it must equal the
-    # per-value format(..., ".17g") rendering byte for byte
-    config = load_config(write(tmp_path, text.replace("N = 20", "N = 64")))
-    out = tmp_path / "solution.csv"
-    assert run("solve", config, output=str(out)) == 0
+def test_solve_csv_matches_per_row_format(tmp_path, capsys, text):
+    # the CSV is %-formatted in blocks of 4096 rows; it must equal the
+    # per-value format(..., ".17g") rendering byte for byte, here over two
+    # full blocks and a partial one, in a file and on stdout
+    n = 2 * 4096 + 5
+    config = load_config(write(tmp_path, text.replace("N = 20", f"N = {n}")))
     problem = build_problem(config)
     spec = problem.spec if isinstance(problem, ManufacturedProblem) else problem
-    solution = newton_solve(spec, 64).solution
-    expected = ["k,t,x"] + [
-        f"{k},{format(float(t), '.17g')},{format(float(x), '.17g')}"
-        for k, (t, x) in enumerate(zip(solution.nodes, solution.values))
-    ]
-    assert out.read_text().split("\n") == expected + [""]
+    solution = newton_solve(spec, n).solution
+    expected = "".join(
+        ["k,t,x\n"] + [f"{k},{format(float(t), '.17g')},{format(float(x), '.17g')}\n"
+                        for k, (t, x) in enumerate(zip(solution.nodes, solution.values))]
+    )
+    out = tmp_path / "solution.csv"
+    assert run("solve", config, output=str(out)) == 0
+    assert out.read_text() == expected
+    summary = capsys.readouterr().out
+    assert summary.startswith("status: converged\n")
+    assert run("solve", config) == 0
+    assert capsys.readouterr().out == expected + summary
 
 
 def test_converge_csv_decreasing(tmp_path):

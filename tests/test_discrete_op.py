@@ -181,6 +181,120 @@ def test_solve_tridiagonal_matches_general_band_reference():
         assert outcomes == {"solved", "singular"}, m
 
 
+def jacobian_like(rng, m, kind):
+    """The diagonal -2 - g/N^2 (N = m + 1) of a Jacobian with f_x = g >= -0.9."""
+    g = rng.uniform(-0.9, 3.0, size=m) if kind == "uniform" else rng.choice([-0.9, 2.5], size=m)
+    return -2.0 - g / (m + 1) ** 2, g
+
+
+def test_solve_tridiagonal_order_2048_is_still_elimination():
+    # the largest order Thomas elimination solves, bit for bit
+    rng = np.random.default_rng(2048)
+    ones = np.ones(2047)
+    for kind in ("uniform", "two-valued"):
+        diag, _ = jacobian_like(rng, 2048, kind)
+        rhs = rng.normal(size=2048)
+        got = solve_tridiagonal(Tridiagonal(diag=diag), rhs)
+        assert got.tobytes() == general_band_solve(ones, diag, ones, rhs).tobytes()
+
+
+@pytest.mark.parametrize("m", [2049, 4097, 65537])
+@pytest.mark.parametrize("kind", ["uniform", "two-valued"])
+def test_cyclic_reduction_is_backward_stable(m, kind):
+    # above order 2048 the solve reduces; it is backward stable, so it agrees
+    # with elimination to within the condition number times eps
+    rng = np.random.default_rng(m)
+    eps = np.finfo(float).eps
+    diag, g = jacobian_like(rng, m, kind)
+    tri = Tridiagonal(diag=diag)
+    n = m + 1
+    norm_j = 2.0 + np.max(np.abs(diag))
+    # smallest eigenvalue of -J, from f_x >= min(g)
+    mu = (4.0 * n**2 * np.sin(np.pi / (2 * n)) ** 2 + g.min()) / n**2
+    ones = np.ones(m - 1)
+    for rhs in (rng.normal(size=m), np.full(m, 1.0 / n**2)):
+        h = solve_tridiagonal(tri, rhs)
+        assert np.isfinite(h).all()
+        assert np.linalg.norm(tri.matvec(h) - rhs) <= 4.0 * eps * norm_j * np.linalg.norm(h)
+        expected = general_band_solve(ones, diag, ones, rhs)
+        kappa = norm_j / mu
+        assert np.linalg.norm(h - expected) <= kappa * eps * np.linalg.norm(expected)
+
+
+def reduced_pivot_vanishes(m, row):
+    """-2 on the diagonal, changed so that row ``row``'s pivot is zero.
+
+    Cyclic reduction eliminates row 1 at level 1 and row 3 at level 2;
+    their reduced diagonals are d1 + 1 and d3 + 1 + 0.5.
+    """
+    diag = np.full(m, -2.0)
+    diag[row] = {1: -1.0, 3: -1.5}[row]
+    return diag
+
+
+def pivot_small_against_one_coupling(m, side):
+    """-2 on the diagonal, changed so that row 3's pivot is small only
+    against one coupling, on ``side``, of the row it is reduced from.
+
+    At level 1 row 3 has diagonal 1 and couplings 10 on ``side`` and 0.5 on
+    the other, its neighbour on ``side`` has diagonal 1e6 + 10.5, and the
+    other neighbour's diagonal is set so that row 3's level-2 pivot is
+    5e-12: below 1e-12 times 10 but above 1e-12 times 1.
+    """
+    big, small = (1, 5) if side == "left" else (5, 1)
+    diag = np.full(m, -2.0)
+    diag[3], diag[(big + 3) // 2], diag[big] = -9.5, -0.1, 1e6
+    diag[small] = 0.25 / (1.0 - 100.0 / (1e6 + 10.5) - 5e-12) - 1.0
+    return diag
+
+
+@pytest.mark.parametrize(
+    "m, diag, row",
+    [(4097, np.where(np.arange(4097) == 100, 0.0, -2.0), 100),
+     (4097, np.where(np.arange(4097) == 100, 1e-13, -2.0), 100),
+     (4097, reduced_pivot_vanishes(4097, 1), 1),
+     (4097, reduced_pivot_vanishes(4097, 3), 3),
+     (4097, pivot_small_against_one_coupling(4097, "left"), 3),
+     (4097, pivot_small_against_one_coupling(4097, "right"), 3),
+     (2049, reduced_pivot_vanishes(2049, 1), 1),
+     # the same matrix at order 2048 goes to elimination, whose zero pivot is row 2
+     (2048, reduced_pivot_vanishes(2048, 1), 2)],
+    ids=["zero", "tiny", "level1", "level2", "left_coupling", "right_coupling", "order2049",
+         "order2048"],
+)
+def test_solve_tridiagonal_names_the_vanishing_pivot(m, diag, row):
+    with pytest.raises(SingularJacobianError, match=f"^vanishing pivot at row {row}$"):
+        solve_tridiagonal(Tridiagonal(diag=diag), np.ones(m))
+
+
+def test_cyclic_reduction_overflow_is_singular():
+    # pivots of 1e-11 pass the rule but scale the right-hand side by 1e11
+    with pytest.raises(SingularJacobianError, match="non-finite solution"):
+        solve_tridiagonal(Tridiagonal(diag=np.full(4097, 1e-11)), np.full(4097, 1e300))
+
+
+def test_cyclic_reduction_never_returns_non_finite():
+    # diagonals of both signs over many decades, with zero and 1e-13 entries
+    # mixed in: each solve raises or returns a finite vector
+    rng = np.random.default_rng(4097)
+    outcomes = set()
+    for m in (2049, 2050, 4097):
+        for _ in range(30):
+            diag = rng.normal(scale=3.0, size=m) * rng.choice([1e-3, 1.0, 1e3, 1e150], size=m)
+            special = rng.random(m)
+            diag[special < 0.001] = 0.0
+            diag[(special >= 0.001) & (special < 0.002)] = 1e-13
+            rhs = rng.normal(size=m) * rng.choice([1.0, 1e300])
+            try:
+                h = solve_tridiagonal(Tridiagonal(diag=diag), rhs)
+            except SingularJacobianError:
+                outcomes.add("singular")
+                continue
+            assert np.isfinite(h).all()
+            outcomes.add("solved")
+    assert outcomes == {"solved", "singular"}
+
+
 def test_solve_tridiagonal_dimension_mismatch():
     tri = Tridiagonal(diag=[-2.0, -2.0])
     with pytest.raises(ValueError):

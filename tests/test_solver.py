@@ -21,6 +21,7 @@ from dirbvp.solver import (
     multi_start_uniqueness,
     newton_solve,
 )
+from test_discrete_op import general_band_solve
 
 F1 = "(t + sin(x))/(2*x^2 + 4)"
 F1_SPEC = make_spec(F1, "1", A=0.1, B=0.5, fx_lower=-0.25)
@@ -334,6 +335,24 @@ def test_newton_solve_compiles_each_node_at_most_once(monkeypatch):
     again = newton_solve(spec, 64, SolverConfig(initial_guess=random_element(64, np.random.default_rng(3))))
     assert compiled == []
     assert again.solution.values.tobytes() == first.solution.values.tobytes()
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "f3"])
+def test_newton_large_n_steps_by_cyclic_reduction(monkeypatch, name):
+    # at N = 10^4 each linear solve reduces; the solve ends where one whose
+    # steps come from elimination ends, to well within tol
+    spec = corpus.build(name)
+    reduced = newton_solve(spec, 10_000)
+
+    def eliminate(matrix, rhs):
+        ones = np.ones(matrix.order - 1)
+        return general_band_solve(ones, matrix.diag, ones, rhs)
+
+    monkeypatch.setattr(solver, "solve_tridiagonal", eliminate)
+    eliminated = newton_solve(spec, 10_000)
+    for report in (reduced, eliminated):
+        assert (report.status, report.iterations) == (CONVERGED, 2)
+    assert np.max(np.abs(reduced.solution.values - eliminated.solution.values)) <= 1e-9
 
 
 def test_multi_start_agreement_f1():
