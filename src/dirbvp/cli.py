@@ -233,19 +233,21 @@ def _run_solve(config: ProblemConfig, problem, output) -> int:
         f"status: {report.status}\n"
         f"iterations: {report.iterations}\n"
         f"residual_norm: {report.residual_norm:.6e}\n"
-        f"sup_norm: {norms(report.solution).sup_norm:.6e}\n"
+        f"sup_norm: {float(np.max(np.abs(report.solution.values))):.6e}\n"
     )
     return 0 if report.status == CONVERGED else 2
 
 
 def _solution_csv(x):
     """The ``k,t,x`` CSV of ``x``, one string per block of rows."""
+    # imported on first use: the other commands need not load the kernel
+    from ._g17 import csv_rows
+
     yield "k,t,x\n"
     nodes, values = x.nodes, x.values
     for lo in range(0, x.n + 1, _CSV_BLOCK_ROWS):
         hi = lo + _CSV_BLOCK_ROWS
-        rows = zip(range(lo, hi), nodes[lo:hi].tolist(), values[lo:hi].tolist())
-        yield "".join(map("%d,%.17g,%.17g\n".__mod__, rows))
+        yield csv_rows(lo, nodes[lo:hi], values[lo:hi])
 
 
 def _table_csv(table: ConvergenceTable) -> str:

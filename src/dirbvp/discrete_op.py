@@ -10,6 +10,7 @@ and the discrete problem asks D x = v(./N) / N^2 at every interior node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,11 @@ def solve_tridiagonal(matrix: Tridiagonal, rhs) -> np.ndarray:
     about N^2 for the Jacobian, grows).  Each row's pivot is its diagonal
     when the row is eliminated; it is reported as singular when at or
     below 1e-12 times the scale, max(|d|, |couplings|), of the row it was
-    reduced from (max(|d|, 1) for an original row).  A non-finite result
-    is reported as singular too.  Either route names the original row.
+    reduced from (max(|d|, 1) for an original row).
+
+    On either route a non-finite result, from overflow past pivots that
+    pass the rule, is reported as singular too, and the error names the
+    original row.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = matrix.order
@@ -154,10 +158,14 @@ def solve_tridiagonal(matrix: Tridiagonal, rhs) -> np.ndarray:
     if abs(w[-1]) <= limit[-1]:
         raise SingularJacobianError(f"vanishing pivot at row {m - 1}")
 
-    # back substitution overwrites g with the solution
+    # back substitution overwrites g with the solution; the pivots are finite
+    # and nonzero, so a non-finite entry makes every entry before it
+    # non-finite, and row 0 is finite only if the whole solution is
     g[-1] /= w[-1]
     for i in range(m - 2, -1, -1):
         g[i] = (g[i] - g[i + 1]) / w[i]
+    if not math.isfinite(g[0]):
+        raise SingularJacobianError("non-finite solution at row 0")
     return np.array(g)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -230,13 +231,16 @@ def test_solve_closed_form_row(tmp_path, capsys):
     assert "status: converged" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("text", [F1_CONFIG, F1_SIN_CONFIG], ids=["f1", "f1_sin"])
+@pytest.mark.parametrize("text", [F1_CONFIG, F1_SIN_CONFIG, QUAD_CONFIG],
+                         ids=["f1", "f1_sin", "quadratic"])
 def test_solve_csv_matches_per_row_format(tmp_path, capsys, text):
-    # the CSV is %-formatted in blocks of 4096 rows; it must equal the
-    # per-value format(..., ".17g") rendering byte for byte, here over two
-    # full blocks and a partial one, in a file and on stdout
-    n = 2 * 4096 + 5
-    config = load_config(write(tmp_path, text.replace("N = 20", f"N = {n}")))
+    # the CSV is written in blocks of 4096 rows; it must equal the per-value
+    # format(..., ".17g") rendering byte for byte, in a file and on stdout.
+    # Three full blocks take k past 9999, and the last block is the one row
+    # k = N, whose x = 0 is written by the kernel's fallback.
+    n = 3 * 4096
+    assert cli._CSV_BLOCK_ROWS == 4096
+    config = load_config(write(tmp_path, re.sub(r"(?m)^N = \d+$", f"N = {n}", text)))
     problem = build_problem(config)
     spec = problem.spec if isinstance(problem, ManufacturedProblem) else problem
     solution = newton_solve(spec, n).solution
@@ -244,13 +248,25 @@ def test_solve_csv_matches_per_row_format(tmp_path, capsys, text):
         ["k,t,x\n"] + [f"{k},{format(float(t), '.17g')},{format(float(x), '.17g')}\n"
                         for k, (t, x) in enumerate(zip(solution.nodes, solution.values))]
     )
+    if text is QUAD_CONFIG:
+        # x = -t(1 - t): negative, and below 1e-4 in size next to the ends
+        assert ",-8.13" in expected and "e-05\n" in expected
     out = tmp_path / "solution.csv"
     assert run("solve", config, output=str(out)) == 0
-    assert out.read_text() == expected
+    assert_same_text(out.read_text(), expected)
     summary = capsys.readouterr().out
     assert summary.startswith("status: converged\n")
     assert run("solve", config) == 0
-    assert capsys.readouterr().out == expected + summary
+    assert_same_text(capsys.readouterr().out, expected + summary)
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    # pytest's own diff of two 12k-line strings would take minutes
+    if got != expected:
+        got_lines, expected_lines = got.splitlines(), expected.splitlines()
+        row = next((i for i, pair in enumerate(zip(got_lines, expected_lines))
+                    if pair[0] != pair[1]), min(len(got_lines), len(expected_lines)))
+        pytest.fail(f"line {row}: {got_lines[row:row + 1]} != {expected_lines[row:row + 1]}")
 
 
 def test_converge_csv_decreasing(tmp_path):

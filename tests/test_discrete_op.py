@@ -273,6 +273,38 @@ def test_cyclic_reduction_overflow_is_singular():
         solve_tridiagonal(Tridiagonal(diag=np.full(4097, 1e-11)), np.full(4097, 1e300))
 
 
+@pytest.mark.parametrize("m", [10, 2049])
+def test_overflow_is_singular_on_both_routes(m):
+    # elimination (order 10) overflows on Python floats without a warning;
+    # it must raise as cyclic reduction (order 2049) does, not return NaN
+    with pytest.raises(SingularJacobianError, match="^non-finite solution at row 0$"):
+        solve_tridiagonal(Tridiagonal(diag=np.full(m, 1e-11)), np.full(m, 1e300))
+
+
+def test_elimination_never_returns_non_finite():
+    # elimination checks only row 0 of its result: a non-finite entry must
+    # reach row 0 through the back substitution
+    with pytest.raises(SingularJacobianError, match="^non-finite solution at row 0$"):
+        # overflow in the back substitution alone: row 1 is finite (1e304)
+        solve_tridiagonal(Tridiagonal(diag=[1e-6, 1e6 + 1e-4]), [0.0, 1e300])
+    rng = np.random.default_rng(2048)
+    outcomes = set()
+    for m in (1, 2, 10, 257, 2048):
+        for _ in range(30):
+            diag = rng.normal(scale=3.0, size=m) * rng.choice([1e-3, 1.0, 1e3, 1e150], size=m)
+            diag[rng.random(m) < 0.001] = 0.0
+            rhs = rng.normal(size=m) * rng.choice([1.0, 1e300], size=m)
+            rhs[rng.random(m) < 0.01] = rng.choice([np.inf, -np.inf, np.nan])
+            try:
+                h = solve_tridiagonal(Tridiagonal(diag=diag), rhs)
+            except SingularJacobianError as exc:
+                outcomes.add(str(exc).split(" at ")[0])
+                continue
+            assert np.isfinite(h).all()
+            outcomes.add("solved")
+    assert outcomes == {"solved", "vanishing pivot", "non-finite solution"}
+
+
 def test_cyclic_reduction_never_returns_non_finite():
     # diagonals of both signs over many decades, with zero and 1e-13 entries
     # mixed in: each solve raises or returns a finite vector
