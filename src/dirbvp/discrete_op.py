@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import evaluate
+from .expr import bind, evaluate
 from .grid import GridFunction, forward_difference
 from .problem import ProblemSpec
 
@@ -94,22 +94,28 @@ def residual(spec: ProblemSpec, x: GridFunction) -> Residual:
     the plain Euclidean norm; x solves the problem iff the vector is 0.
     """
     t = _interior_nodes(x.n)
-    return _residual(spec, t, evaluate(spec.v, t, 0.0), x.values)
+    v_vals = evaluate(spec.v, t, 0.0)
+    vector, norm = _residual(bind(spec.f, t), v_vals, x.values)
+    return Residual(vector=vector, norm=norm)
 
 
-def _residual(spec: ProblemSpec, t, v_vals, values) -> Residual:
-    # ``residual`` of all N+1 grid values (zero ends), given t_k and v(t_k)
-    f_vals = evaluate(spec.f, t, values[1:-1])
+def _residual(f, v_vals, values) -> tuple[np.ndarray, float]:
+    # ``residual`` of all N+1 grid values (zero ends) as (vector, norm), given
+    # f bound to the interior nodes and v there; the norm is numpy's 2-norm
+    f_vals = f(values[1:-1])
     second_diff = values[2:] - 2.0 * values[1:-1] + values[:-2]
     vector = second_diff - (f_vals + v_vals) / (values.size - 1) ** 2
-    return Residual(vector=vector, norm=float(np.linalg.norm(vector)))
+    return vector, math.sqrt(vector.dot(vector))
 
 
 def jacobian(spec: ProblemSpec, x: GridFunction) -> Tridiagonal:
     """Derivative of the operator at x: tridiag(1, -2 - f_x(k/N, x(k))/N^2, 1)."""
-    t = _interior_nodes(x.n)
-    fx_vals = evaluate(spec.fx, t, x.interior)
-    return Tridiagonal(diag=-2.0 - fx_vals / x.n**2)
+    return _jacobian(bind(spec.fx, _interior_nodes(x.n)), x.values)
+
+
+def _jacobian(fx, values) -> Tridiagonal:
+    # ``jacobian`` at all N+1 grid values, given f_x bound to the interior nodes
+    return Tridiagonal(diag=-2.0 - fx(values[1:-1]) / (values.size - 1) ** 2)
 
 
 def solve_tridiagonal(matrix: Tridiagonal, rhs) -> np.ndarray:

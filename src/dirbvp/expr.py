@@ -18,8 +18,8 @@ evaluation, not of normal form.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -39,6 +39,7 @@ __all__ = [
     "NonDifferentiableError",
     "parse",
     "evaluate",
+    "bind",
     "diff",
     "substitute",
     "uses_var",
@@ -64,24 +65,56 @@ class NonDifferentiableError(ExprError):
     """Raised when a derivative of a non-smooth node is requested."""
 
 
-class _Node:
-    """Base of the tree nodes: holds each node's compiled form once built."""
+class _computed_once:
+    """An attribute computed on first use and then kept in the instance dict.
 
-    @functools.cached_property
+    It writes the dict past a frozen dataclass's __setattr__, as
+    functools.cached_property does, without taking a lock; dataclass
+    equality, hashing and repr read the fields only.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
+class _Node:
+    """Base of the tree nodes: holds each node's compiled forms once built."""
+
+    @_computed_once
     def _kernel(self):
-        # cached_property writes the instance __dict__, past the frozen
-        # __setattr__; dataclass equality, hashing and repr read fields only.
+        # what this node computes, folded; shared by every tree holding it
         return _compile(self)
+
+    @_computed_once
+    def _program(self):
+        # the steps that evaluate the tree rooted here
+        return _Program(self._kernel)
 
 
 @dataclass(frozen=True)
 class Num(_Node):
     value: float
 
+    @property
+    def _kernel(self):
+        # a leaf is not worth keeping compiled
+        return np.float64(self.value)
+
 
 @dataclass(frozen=True)
 class Var(_Node):
     name: str  # "t" or "x"
+
+    @property
+    def _kernel(self):
+        return _T if self.name == "t" else _X
 
 
 @dataclass(frozen=True)
@@ -206,7 +239,10 @@ class _Parser:
             if uses_var(exponent, "t") or uses_var(exponent, "x"):
                 raise ParseError("exponent must be a constant expression", pos)
             try:
-                value = evaluate(exponent)
+                # a constant tree compiles to its value, unless computing it traps
+                value = exponent._kernel
+                if type(value) is not np.float64:
+                    value = evaluate(exponent)
             except EvalError as exc:
                 raise ParseError(f"cannot evaluate constant exponent: {exc}", pos) from exc
             return BinOp("^", base, Num(float(value)))
@@ -252,89 +288,208 @@ def _operand(value):
     return np.float64(value)
 
 
-def _compile(node: Expr):
-    """Closure computing ``node`` from numpy operands ``(t, x)``.
+def _execute(steps, env):
+    """Run ``steps`` on the list of values ``env``, trapping every flag but underflow.
 
-    It performs the operations of a walk over the tree, in the order of
-    that walk, so its results are those of the walk bit for bit.  The
-    power branch is chosen here, once; a malformed tree (an unknown
-    operator or a variable exponent) raises EvalError here, before any
-    arithmetic.
+    A step (function, i, j, k) sets env[k] to function(env[i]), or to
+    function(env[i], env[j]) when j is not None.  From finite inputs and
+    constants only an operation that sets the overflow, invalid or
+    divide-by-zero flag yields inf or NaN.  Every operand is numpy:
+    Python-float arithmetic sets no flags.
     """
-    if isinstance(node, Num):
-        value = np.float64(node.value)
-        return lambda t, x: value
-    if isinstance(node, Var):
-        if node.name == "t":
-            return lambda t, x: t
-        return lambda t, x: x
-    if isinstance(node, Neg):
-        arg = node.arg._kernel
-        return lambda t, x: -arg(t, x)
-    if isinstance(node, BinOp):
-        left = node.left._kernel
-        if node.op == "^":
-            return _compile_power(left, node.right)
-        right = node.right._kernel
-        if node.op == "+":
-            return lambda t, x: left(t, x) + right(t, x)
-        if node.op == "-":
-            return lambda t, x: left(t, x) - right(t, x)
-        if node.op == "*":
-            return lambda t, x: left(t, x) * right(t, x)
-        if node.op == "/":
-
-            def divide(t, x):
-                numerator = left(t, x)
-                denominator = right(t, x)
-                if np.count_nonzero(denominator == 0.0):
-                    raise EvalError("division by zero")
-                return numerator / denominator
-
-            return divide
-        raise EvalError(f"unknown operator {node.op!r}")
-    if isinstance(node, Call):
-        arg = node.arg._kernel
-        function = _FUNCTIONS[node.fn]
-        if node.fn == "sqrt":
-
-            def root(t, x):
-                value = arg(t, x)
-                if np.count_nonzero(value < 0.0):
-                    raise EvalError("sqrt of a negative value")
-                return function(value)
-
-            return root
-        return lambda t, x: function(arg(t, x))
-    raise TypeError(f"unknown node {node!r}")
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            for function, i, j, k in steps:
+                env[k] = function(env[i]) if j is None else function(env[i], env[j])
+    except FloatingPointError as exc:
+        raise EvalError(f"non-finite result: {exc}") from exc
 
 
-def _compile_power(base, exponent: Expr):
-    if not isinstance(exponent, Num):
-        raise EvalError("exponent must be a constant")
-    c = exponent.value
+def _divide(numerator, denominator):
+    if np.count_nonzero(denominator == 0.0):
+        raise EvalError("division by zero")
+    return numerator / denominator
+
+
+def _sqrt(value):
+    if np.count_nonzero(value < 0.0):
+        raise EvalError("sqrt of a negative value")
+    return np.sqrt(value)
+
+
+def _power(c):
+    """``value ^ c``; the domain check depends on c alone."""
     if c != round(c):
 
-        def power(t, x):
-            value = base(t, x)
+        def power(value):
             if np.count_nonzero(value <= 0.0):
                 raise EvalError("non-integer power of a non-positive base")
             return np.power(value, c)
 
     elif c < 0:
 
-        def power(t, x):
-            value = base(t, x)
+        def power(value):
             if np.count_nonzero(value == 0.0):
                 raise EvalError("zero base with a negative exponent")
             return np.power(value, c)
 
     else:
 
-        def power(t, x):
-            return np.power(base(t, x), c)
+        def power(value):
+            return np.power(value, c)
 
     return power
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+_CALLS = {**_FUNCTIONS, "sqrt": _sqrt}
+
+# A kernel is what a node computes once folded: a constant, as np.float64,
+# or a tuple (function, operand kernels, whether the value depends on x).
+# The variables are the tuples _T and _X, which have no function.
+_T = (None, (), False)
+_X = (None, (), True)
+
+
+def _fold(function, args):
+    """The kernel of ``function`` on the kernels ``args``.
+
+    It is the value when every operand is a constant and computing it
+    traps nothing; otherwise an op, which raises at evaluation where
+    computing it raised here.
+    """
+    for arg in args:
+        if type(arg) is not np.float64:
+            break
+    else:
+        env = [*args, None]
+        try:
+            _execute(((function, 0, 1 if len(args) == 2 else None, len(args)),), env)
+        except EvalError:
+            pass
+        else:
+            if type(env[-1]) is np.float64:
+                return env[-1]
+    on_x = False
+    for arg in args:
+        if type(arg) is tuple and arg[2]:
+            on_x = True
+    return (function, args, on_x)
+
+
+def _compile(node: Expr):
+    """The kernel of ``node``.
+
+    Only folds that keep every bit and every trap are made: an operation on
+    constants becomes its value unless computing it traps, and y*1.0,
+    1.0*y, y/1.0, y-(+0.0) and y^1.0 become y.  0.0*y, y+0.0, 0.0+y and
+    0.0-y stay, for the sign of zero and the traps of y.  A malformed tree
+    (an unknown operator or a variable exponent) raises EvalError here,
+    before any arithmetic.
+    """
+    if isinstance(node, BinOp):
+        op = node.op
+        left = node.left._kernel
+        if op == "^":
+            if not isinstance(node.right, Num):
+                raise EvalError("exponent must be a constant")
+            c = node.right.value
+            return left if c == 1.0 else _fold(_power(c), (left,))
+        right = node.right._kernel
+        if op not in _BINARY:
+            raise EvalError(f"unknown operator {op!r}")
+        if type(right) is np.float64 and (
+            right == 1.0 and (op == "*" or op == "/")
+            or right == 0.0 and op == "-" and math.copysign(1.0, right) == 1.0
+        ):
+            return left
+        if type(left) is np.float64 and left == 1.0 and op == "*":
+            return right
+        return _fold(_BINARY[op], (left, right))
+    if isinstance(node, Call):
+        return _fold(_CALLS[node.fn], (node.arg._kernel,))
+    if isinstance(node, Neg):
+        return _fold(operator.neg, (node.arg._kernel,))
+    raise TypeError(f"unknown node {node!r}")
+
+
+class _Program:
+    """The steps of one compiled tree, in the order of a walk over it.
+
+    Each distinct op runs once per evaluation, at its first place in the
+    walk, so values and errors are those of the walk.  Values live in a
+    list: t, x, the constants, then the results.  A result holds its slot
+    from its op to its last user, and other results use the slot outside
+    that span, except where an x-free result feeds an x-dependent one or is
+    the program's result: those slots are ``pinned``, and a binding of t
+    keeps their values (see ``bind``).
+    """
+
+    def __init__(self, root):
+        template = [None, None]
+        slots = {id(_T): 0, id(_X): 1}
+        pinned = set()
+        order = []
+
+        def visit(op):
+            for arg in op[1]:
+                key = id(arg)
+                if type(arg) is np.float64:
+                    if key not in slots:
+                        slots[key] = len(template)
+                        template.append(arg)
+                    continue
+                if key not in slots:
+                    visit(arg)
+                if op[2] and not arg[2] and arg[0] is not None:
+                    pinned.add(key)
+            slots[id(op)] = None  # visited; its slot is chosen below
+            order.append(op)
+
+        if type(root) is np.float64:
+            slots[id(root)] = len(template)
+            template.append(root)
+        elif root[0] is not None:
+            visit(root)
+            slots[id(root)] = len(template)
+            template.append(None)
+            if not root[2]:
+                pinned.add(id(root))
+        # Backwards from the last op: a result takes a slot at its last user
+        # and gives it up at its own op, to the ops before.
+        free = []
+        steps = []
+        x_steps = []
+        for op in reversed(order):
+            function, args, on_x = op
+            out = slots[id(op)]
+            if id(op) not in pinned:
+                free.append(out)
+            inputs = []
+            for arg in args:
+                key = id(arg)
+                slot = slots[key]
+                if slot is None:
+                    if free and key not in pinned:
+                        slot = free.pop()
+                    else:
+                        slot = len(template)
+                        template.append(None)
+                    slots[key] = slot
+                inputs.append(slot)
+            step = (function, inputs[0], inputs[1] if len(inputs) == 2 else None, out)
+            steps.append(step)
+            if on_x:
+                x_steps.append(step)
+        steps.reverse()
+        x_steps.reverse()
+        self.template = template
+        self.steps = steps
+        self.x_steps = x_steps  # what a warm binding runs
+        self.pinned = [slots[key] for key in pinned]
+        self.result = slots[id(root)]
+        # an x-dependent op's result is a fresh array of the broadcast shape
+        self.fresh = type(root) is tuple and root[0] is not None and root[2]
 
 
 def evaluate(expr: Expr, t=0.0, x=0.0):
@@ -351,14 +506,12 @@ def evaluate(expr: Expr, t=0.0, x=0.0):
     x = _operand(x)
     if np.count_nonzero(np.isfinite(t)) < t.size or np.count_nonzero(np.isfinite(x)) < x.size:
         raise EvalError("non-finite input")
-    # From finite inputs and constants only an operation that sets the
-    # overflow, invalid or divide-by-zero flag yields inf or NaN.  Every
-    # operand is numpy: Python-float arithmetic sets no flags.
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-            result = expr._kernel(t, x)
-    except FloatingPointError as exc:
-        raise EvalError(f"non-finite result: {exc}") from exc
+    program = expr._program
+    env = program.template.copy()
+    env[0] = t
+    env[1] = x
+    _execute(program.steps, env)
+    result = env[program.result]
     shape = np.broadcast(t, x).shape
     if shape == ():
         return float(result)
@@ -370,6 +523,60 @@ def evaluate(expr: Expr, t=0.0, x=0.0):
     out = np.empty(shape)
     np.copyto(out, result)  # keeps -0.0, as a copy does
     return out
+
+
+class _Bound:
+    """``expr`` at a fixed 1-D t, as a function of x; see ``bind``."""
+
+    def __init__(self, expr: Expr, t):
+        t = _operand(t)
+        if t.ndim != 1:
+            raise ValueError(f"t must be a 1-d array, got shape {t.shape}")
+        if np.count_nonzero(np.isfinite(t)) < t.size:
+            raise EvalError("non-finite input")
+        self.expr = expr
+        self.t = t
+        self._warm = None  # the slots after a first evaluation, x-free values kept
+
+    def __call__(self, x) -> np.ndarray:
+        x = _operand(x)
+        if x.shape != self.t.shape:
+            raise ValueError(f"x must have the shape {self.t.shape} of t, got {x.shape}")
+        if np.count_nonzero(np.isfinite(x)) < x.size:
+            raise EvalError("non-finite input")
+        program = self.expr._program
+        if self._warm is None:
+            env = program.template.copy()
+            env[0] = self.t
+            env[1] = x
+            _execute(program.steps, env)
+            warm = program.template.copy()
+            warm[0] = self.t
+            for slot in program.pinned:
+                warm[slot] = env[slot]
+            self._warm = warm
+        else:
+            env = self._warm.copy()
+            env[1] = x
+            _execute(program.x_steps, env)
+        result = env[program.result]
+        if program.fresh:
+            return result
+        out = np.empty(self.t.shape)
+        np.copyto(out, result)
+        return out
+
+
+def bind(expr: Expr, t) -> _Bound:
+    """``expr`` at a fixed 1-D array t, as a function of x of t's shape.
+
+    Calling the result gives ``evaluate(expr, t, x)`` bit for bit, and
+    raises where evaluate raises.  t is checked here, once; each call
+    checks only x.  The terms that do not depend on x are computed by the
+    first call that succeeds and reused by the later ones, so a failure
+    among them surfaces at the same call as with evaluate.
+    """
+    return _Bound(expr, t)
 
 
 def diff(expr: Expr, var: str) -> Expr:

@@ -15,9 +15,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discrete_op import SingularJacobianError, _residual, jacobian, residual, solve_tridiagonal
-from .expr import EvalError, evaluate
-from .grid import GridFunction, is_integer, random_element
+from .discrete_op import (
+    SingularJacobianError,
+    _jacobian,
+    _residual,
+    jacobian,
+    residual,
+    solve_tridiagonal,
+)
+from .expr import EvalError, bind, evaluate
+from .grid import GridFunction, grid_size, is_integer, random_element
 from .problem import ProblemSpec
 
 __all__ = [
@@ -87,64 +94,75 @@ def newton_solve(spec: ProblemSpec, n: int, cfg: SolverConfig | None = None) -> 
     below tol * (1 + sup|v| * sqrt(n) / n^2).
     """
     cfg = cfg or SolverConfig()
-    x = cfg.initial_guess if cfg.initial_guess is not None else GridFunction.zeros(n)
-    if x.n != n:
-        raise ValueError(f"initial guess lives on n={x.n}, expected n={n}")
+    if cfg.initial_guess is None:
+        values = np.zeros(grid_size(n) + 1)
+    elif cfg.initial_guess.n != n:
+        raise ValueError(f"initial guess lives on n={cfg.initial_guess.n}, expected n={n}")
+    else:
+        values = cfg.initial_guess.values  # read-only: the first accepted step moves off it
 
     trace: list[tuple[int, float, float]] = []
 
-    def report(status, x, res_norm, iterations):
+    def report(status, values, res_norm, iterations):
         return SolveReport(
-            solution=x,
+            solution=GridFunction(n, values),
             residual_norm=res_norm,
             iterations=iterations,
             step_trace=tuple(trace),
             status=status,
         )
 
-    # v(t_k) is fixed for the solve; scaling tol by its size keeps the stopping
-    # test from getting harsher on finer grids, as residuals carry a 1/N^2 factor.
+    # t_k, f and f_x bound to it, and v(t_k) are fixed for the solve; scaling
+    # tol by the size of v keeps the stopping test from getting harsher on
+    # finer grids, as residuals carry a 1/N^2 factor.
     t = np.arange(1, n) / n
+    f = bind(spec.f, t)
+    fx = bind(spec.fx, t)
     try:
         v_vals = evaluate(spec.v, t, 0.0)
         threshold = cfg.tol * (1.0 + float(np.max(np.abs(v_vals))) * math.sqrt(n) / n**2)
-        r = _residual(spec, t, v_vals, x.values)
+        r, r_norm = _residual(f, v_vals, values)
     except EvalError:
-        return report(EVAL_ERROR, x, math.nan, 0)
+        return report(EVAL_ERROR, values, math.nan, 0)
 
-    trial = np.zeros(n + 1)  # line-search point; GridFunction copies the accepted one
+    # the line-search point; the iterate and it swap when it is accepted
+    trial = np.zeros(n + 1)
     iterations = 0
-    while r.norm > threshold:
+    while r_norm > threshold:
         if iterations >= cfg.max_iter:
-            return report(MAX_ITER, x, r.norm, iterations)
+            return report(MAX_ITER, values, r_norm, iterations)
         try:
-            step = solve_tridiagonal(jacobian(spec, x), -r.vector)
+            # r is not used again, so it is negated in place
+            step = solve_tridiagonal(_jacobian(fx, values), np.negative(r, out=r))
         except SingularJacobianError:
-            return report(SINGULAR_JACOBIAN, x, r.norm, iterations)
+            return report(SINGULAR_JACOBIAN, values, r_norm, iterations)
         except EvalError:
-            return report(EVAL_ERROR, x, r.norm, iterations)
+            return report(EVAL_ERROR, values, r_norm, iterations)
 
-        merit_0 = 0.5 * r.norm**2
+        merit_0 = 0.5 * r_norm**2
         slope = -2.0 * merit_0  # gradient . step = -||r||^2 for an exact Newton step
         lam = 1.0
         while True:
-            trial[1:-1] = x.interior + lam * step
+            np.add(values[1:-1], lam * step, out=trial[1:-1])
             try:
-                r_new = _residual(spec, t, v_vals, trial)
-                ok = 0.5 * r_new.norm**2 <= merit_0 + _ARMIJO_C * lam * slope
+                r_new, r_new_norm = _residual(f, v_vals, trial)
+                ok = 0.5 * r_new_norm**2 <= merit_0 + _ARMIJO_C * lam * slope
             except EvalError:
                 ok = False  # treat an unevaluable trial point as a failed step
             if ok:
                 break
             lam *= _BACKTRACK_FACTOR
             if lam < _MIN_STEP:
-                return report(MAX_ITER, x, r.norm, iterations)
+                return report(MAX_ITER, values, r_norm, iterations)
 
-        x, r = GridFunction(n, trial), r_new
+        values, trial = trial, values
+        if not trial.flags.writeable:  # the initial guess's values
+            trial = np.zeros(n + 1)
+        r, r_norm = r_new, r_new_norm
         iterations += 1
-        trace.append((iterations, r.norm, lam))
+        trace.append((iterations, r_norm, lam))
 
-    return report(CONVERGED, x, r.norm, iterations)
+    return report(CONVERGED, values, r_norm, iterations)
 
 
 def multi_start_uniqueness(
@@ -161,8 +179,8 @@ def multi_start_uniqueness(
     [-amplitude, amplitude]; when the uniqueness conditions hold all
     converged solutions coincide, so the returned distance should be tiny.
     """
-    if starts < 2:
-        raise ValueError("need at least two starts")
+    if not is_integer(starts) or starts < 2:
+        raise ValueError(f"starts must be an integer of at least 2, got {starts!r}")
     cfg = cfg or SolverConfig()
     rng = np.random.default_rng(seed)
     solutions = []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dirbvp import expr as expr_module
 from dirbvp.expr import (
     BinOp,
     Call,
@@ -14,6 +15,7 @@ from dirbvp.expr import (
     Num,
     ParseError,
     Var,
+    bind,
     diff,
     evaluate,
     format_expr,
@@ -556,3 +558,139 @@ def test_evaluate_result_is_never_an_input(source, reference, t, x):
     out[...] = 7.0
     assert np.array_equal(np.asarray(t).view(np.int64), np.asarray(saved_t).view(np.int64))
     assert np.array_equal(np.asarray(x).view(np.int64), np.asarray(saved_x).view(np.int64))
+
+
+# Trees of the _trees kind that also hold the constants the compiler folds
+# (1.0, signed zeros, the exponent 1.0) and subtrees shared by identity, as
+# diff builds them.
+_fold_leaves = _leaves | st.sampled_from([Num(1.0), Num(-1.0), Num(-0.0)])
+_shared_trees = st.recursive(
+    _fold_leaves,
+    lambda sub: st.one_of(
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(
+            BinOp, st.just("^"), sub,
+            st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 3.0, 7.0]).map(Num),
+        ),
+        st.builds(Call, st.sampled_from(sorted(_REFERENCE_FUNCTIONS)), sub),
+        st.builds(Neg, sub),
+        st.builds(
+            lambda op, shared, other: BinOp(op, BinOp("*", shared, other), shared),
+            st.sampled_from("+-*/"), sub, sub,
+        ),
+    ),
+    max_leaves=12,
+)
+# one 1-d t and three x of its length; the third x is the first again
+_grids = st.integers(1, 5).flatmap(
+    lambda size: st.tuples(
+        st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size),
+        st.lists(_coordinates, min_size=size, max_size=size),
+        st.lists(_coordinates, min_size=size, max_size=size),
+    )
+).map(lambda columns: (np.array(columns[0]), np.array(columns[1]), np.array(columns[2])))
+
+
+def _grid(t, *xs):
+    return (np.array(t), *(np.array(x) for x in xs), np.array(xs[0]))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(expr=_shared_trees, grid=_grids)
+# the identity folds keep the sign of zero
+@example(expr=parse("x*1.0"), grid=_grid([0.5], [-0.0], [2.0]))
+@example(expr=parse("1.0*x"), grid=_grid([0.5], [-0.0], [2.0]))
+@example(expr=parse("x/1.0"), grid=_grid([0.5], [-0.0], [2.0]))
+@example(expr=parse("x-0.0"), grid=_grid([0.5], [-0.0], [2.0]))
+@example(expr=parse("x^1.0"), grid=_grid([0.5], [-0.0], [2.0]))
+# no fold: 0.0*(-0.0) + 0.0 is +0.0, where dropping the terms would give -0.0
+@example(expr=parse("0.0*x + 0.0"), grid=_grid([0.5, 0.25], [-0.0, -3.0], [0.0, 1.0]))
+# no fold: y*0.0 still traps where y overflows
+@example(expr=parse("exp(x)*0.0"), grid=_grid([0.5], [1000.0], [1.0]))
+# a constant that traps is not folded and raises at each evaluation
+@example(expr=parse("1e200*1e200 + x"), grid=_grid([0.5], [1.0], [2.0]))
+# an x-free term that fails, then one that succeeds
+@example(expr=parse("sqrt(t - 0.5)*x"), grid=_grid([0.25, 0.75], [1.0, 2.0], [3.0, 4.0]))
+@example(expr=parse("sqrt(t - 0.5)*x"), grid=_grid([0.75, 1.0], [1.0, 2.0], [3.0, 4.0]))
+def test_bound_evaluation_matches_evaluate_and_the_walk(expr, grid):
+    t, *xs = grid
+    bound = bind(expr, t)  # building the binding evaluates nothing
+    for x in xs:  # the first call computes the x-free terms, the later ones reuse them
+        expected = _message_or_value(_walk_evaluate, expr, t, x)
+        for got in (
+            _message_or_value(evaluate, expr, t, x),
+            _message_or_value(lambda expr, t, x: bound(x), expr, t, x),
+        ):
+            assert type(got) is type(expected)
+            if isinstance(expected, str):
+                assert got == expected
+            else:
+                assert got.shape == t.shape
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_bound_results_are_the_callers():
+    t = np.array([0.25, 0.5])
+    x = np.array([1.0, -0.0])
+    for source in ("x", "t", "2", "sin(t)", "x*1.0", "t + x"):
+        bound = bind(parse(source), t)
+        first = bound(x)
+        first[...] = 7.0
+        again = bound(x)
+        assert not np.shares_memory(again, x) and not np.shares_memory(again, t)
+        assert np.array_equal(again, evaluate(parse(source), t, x))
+
+
+def test_bind_checks_its_inputs():
+    with pytest.raises(EvalError, match="non-finite input"):
+        bind(parse("x"), np.array([0.5, math.nan]))
+    with pytest.raises(ValueError, match="1-d"):
+        bind(parse("x"), 0.5)
+    bound = bind(parse("x + t"), np.array([0.5, 0.25]))
+    with pytest.raises(EvalError, match="non-finite input"):
+        bound(np.array([1.0, math.inf]))
+    with pytest.raises(ValueError, match="shape"):
+        bound(np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize(
+    "source, steps",
+    [
+        # folds that keep every bit
+        ("x*1.0", 0), ("1.0*x", 0), ("x/1.0", 0), ("x-0.0", 0), ("x^1.0", 0),
+        ("(2*3 - 5)*x", 0), ("x^(3 - 2)", 0), ("2*3 + x", 1),
+        # no fold: the sign of zero, a negative zero, or a trap would change
+        ("0.0*x", 1), ("x*0.0", 1), ("x+0.0", 1), ("0.0+x", 1), ("0.0-x", 1),
+        ("x-(-0.0)", 1), ("x*(-1.0)", 1), ("1/0 + x", 2), ("1e200*1e200 + x", 2),
+    ],
+)
+def test_compiled_program_folds_only_what_keeps_every_bit(source, steps):
+    assert len(parse(source)._program.steps) == steps
+
+
+def test_shared_subtree_runs_once_per_evaluation():
+    f = parse("(t + sin(x))/(2*x^2 + 4)")
+    fx = diff(f, "x")
+    # A walk over fx runs 24 operations.  The program skips the second run
+    # of the three in 2*x^2 + 4, which diff shares between two places, and
+    # of x^2, shared once more; cos(x)*1.0, x^1.0 and (2*x)*1.0 fold away.
+    assert len(fx._program.steps) == 24 - 3 - 1 - 3
+    u = parse("2*x^2 + 4")
+    assert len(BinOp("/", u, BinOp("^", u, Num(2.0)))._program.steps) == 3 + 2
+
+
+def test_binding_computes_x_free_terms_once(monkeypatch):
+    calls = []
+
+    def counting_sin(value, original=np.sin):
+        calls.append(np.size(value))
+        return original(value)
+
+    monkeypatch.setitem(expr_module._CALLS, "sin", counting_sin)
+    t = np.linspace(0.1, 0.9, 5)
+    tree = parse("sin(t)*x + sin(t)^2 - sin(x)")  # two sin(t) nodes, one sin(x)
+    bound = bind(tree, t)
+    for k in range(4):
+        np.testing.assert_array_equal(bound(np.full(5, float(k))), evaluate(tree, t, np.full(5, float(k))))
+    # evaluate computes both sin(t) each time; the binding only on its first call
+    assert len(calls) == 4 * 3 + 2 + 4

@@ -255,20 +255,33 @@ def test_newton_failure_statuses_match_reference():
         (pole, 10, SolverConfig(initial_guess=GridFunction.from_interior(np.ones(9))),
          EVAL_ERROR),
         (beyond, 16, None, EVAL_ERROR),
+        # a constant that overflows builds, and fails the first evaluation
+        (make_spec("1e200*1e200 + x", "1", A=1.0, B=1.0, fx_lower=0.0), 8, None, EVAL_ERROR),
     ]
     for spec, n, cfg, status in cases:
         assert assert_matches_reference(spec, n, cfg).status == status
 
 
 def count_evaluations(monkeypatch):
-    """Record the expression of every evaluate call the solver makes."""
+    """Record the expression of every evaluation the solver makes: each
+    evaluate call, and each call of a function that bind returned."""
     calls = []
     for module in (solver, discrete_op):
         def evaluate(expr, t=0.0, x=0.0, original=module.evaluate):
             calls.append(expr)
             return original(expr, t, x)
 
+        def bind(expr, t, original=module.bind):
+            bound = original(expr, t)
+
+            def counted(x):
+                calls.append(expr)
+                return bound(x)
+
+            return counted
+
         monkeypatch.setattr(module, "evaluate", evaluate)
+        monkeypatch.setattr(module, "bind", bind)
     return calls
 
 
@@ -314,26 +327,35 @@ def tree_nodes(tree):
 
 def test_newton_solve_compiles_each_node_at_most_once(monkeypatch):
     compiled = []
+    programs = []
 
     def counting_compile(node, original=expr._compile):
         compiled.append(id(node))
         return original(node)
 
+    def counting_program(kernel, original=expr._Program):
+        programs.append(id(kernel))
+        return original(kernel)
+
     spec = corpus.build("f3")
     nodes = {**tree_nodes(spec.f), **tree_nodes(spec.fx), **tree_nodes(spec.v)}
     # building leaves the trees uncompiled; the first evaluation compiles them
-    assert not any("_kernel" in vars(node) for node in nodes.values())
+    assert not any("_kernel" in vars(node) or "_program" in vars(node) for node in nodes.values())
     monkeypatch.setattr(expr, "_compile", counting_compile)
+    monkeypatch.setattr(expr, "_Program", counting_program)
     first = newton_solve(spec, 64, SolverConfig(initial_guess=random_element(64, np.random.default_rng(3))))
     assert first.status == CONVERGED and first.iterations >= 2
     assert len(compiled) == len(set(compiled))
     assert set(compiled) <= set(nodes)
     # diff shares subtrees of f with fx; each was compiled once, for both trees
     assert set(tree_nodes(spec.f)) & set(tree_nodes(spec.fx)) & set(compiled)
+    # one program for each of f, f_x and v
+    assert len(programs) == len(set(programs)) == 3
 
     compiled.clear()
+    programs.clear()
     again = newton_solve(spec, 64, SolverConfig(initial_guess=random_element(64, np.random.default_rng(3))))
-    assert compiled == []
+    assert compiled == [] and programs == []
     assert again.solution.values.tobytes() == first.solution.values.tobytes()
 
 
@@ -378,6 +400,10 @@ def test_multi_start_deterministic_in_seed():
 def test_multi_start_validates_and_propagates():
     with pytest.raises(ValueError):
         multi_start_uniqueness(QUAD, 10, starts=1)
+    # range() would raise TypeError on a float count, even a whole one
+    for starts in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="starts"):
+            multi_start_uniqueness(QUAD, 10, starts=starts)
     spec = make_spec("-32*x", "1", A=32.1, B=0.1, fx_lower=-32.1)
     with pytest.raises(SolverError, match="start 0"):
         multi_start_uniqueness(spec, 4, starts=2, amplitude=1.0, seed=0)
