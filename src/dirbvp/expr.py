@@ -22,7 +22,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -345,10 +345,10 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide
 _CALLS = {**_FUNCTIONS, "sqrt": _sqrt}
 
 # A kernel is what a node computes once folded: a constant, as np.float64,
-# or a tuple (function, operand kernels, whether the value depends on x).
-# The variables are the tuples _T and _X, which have no function.
-_T = (None, (), False)
-_X = (None, (), True)
+# or a pair (function, operand kernels).  The variables are the pairs _T
+# and _X, which have no function.
+_T = (None, "t")
+_X = (None, "x")
 
 
 def _fold(function, args):
@@ -370,11 +370,7 @@ def _fold(function, args):
         else:
             if type(env[-1]) is np.float64:
                 return env[-1]
-    on_x = False
-    for arg in args:
-        if type(arg) is tuple and arg[2]:
-            on_x = True
-    return (function, args, on_x)
+    return (function, args)
 
 
 def _compile(node: Expr):
@@ -420,29 +416,24 @@ class _Program:
     walk, so values and errors are those of the walk.  Values live in a
     list: t, x, the constants, then the results.  A result holds its slot
     from its op to its last user, and other results use the slot outside
-    that span, except where an x-free result feeds an x-dependent one or is
-    the program's result: those slots are ``pinned``, and a binding of t
-    keeps their values (see ``bind``).
+    that span.
     """
 
     def __init__(self, root):
         template = [None, None]
         slots = {id(_T): 0, id(_X): 1}
-        pinned = set()
         order = []
 
         def visit(op):
             for arg in op[1]:
                 key = id(arg)
-                if type(arg) is np.float64:
-                    if key not in slots:
-                        slots[key] = len(template)
-                        template.append(arg)
+                if key in slots:
                     continue
-                if key not in slots:
+                if type(arg) is np.float64:
+                    slots[key] = len(template)
+                    template.append(arg)
+                else:
                     visit(arg)
-                if op[2] and not arg[2] and arg[0] is not None:
-                    pinned.add(key)
             slots[id(op)] = None  # visited; its slot is chosen below
             order.append(op)
 
@@ -453,43 +444,50 @@ class _Program:
             visit(root)
             slots[id(root)] = len(template)
             template.append(None)
-            if not root[2]:
-                pinned.add(id(root))
         # Backwards from the last op: a result takes a slot at its last user
         # and gives it up at its own op, to the ops before.
         free = []
         steps = []
-        x_steps = []
         for op in reversed(order):
-            function, args, on_x = op
+            function, args = op
             out = slots[id(op)]
-            if id(op) not in pinned:
-                free.append(out)
+            free.append(out)
             inputs = []
             for arg in args:
                 key = id(arg)
                 slot = slots[key]
                 if slot is None:
-                    if free and key not in pinned:
+                    if free:
                         slot = free.pop()
                     else:
                         slot = len(template)
                         template.append(None)
                     slots[key] = slot
                 inputs.append(slot)
-            step = (function, inputs[0], inputs[1] if len(inputs) == 2 else None, out)
-            steps.append(step)
-            if on_x:
-                x_steps.append(step)
+            steps.append((function, inputs[0], inputs[1] if len(inputs) == 2 else None, out))
         steps.reverse()
-        x_steps.reverse()
         self.template = template
         self.steps = steps
-        self.x_steps = x_steps  # what a warm binding runs
-        self.pinned = [slots[key] for key in pinned]
         self.result = slots[id(root)]
-        # an x-dependent op's result is a fresh array of the broadcast shape
-        self.fresh = type(root) is tuple and root[0] is not None and root[2]
+
+
+def _run(program, t, x, shape):
+    """Run ``program`` on the checked operands t and x of broadcast shape ``shape``."""
+    env = program.template.copy()
+    env[0] = t
+    env[1] = x
+    _execute(program.steps, env)
+    result = env[program.result]
+    if shape == ():
+        return float(result)
+    # A fresh full-shape array is the caller's alone; an input, a scalar or
+    # a partial broadcast is not, and is copied.
+    fresh = isinstance(result, np.ndarray) and result is not t and result is not x
+    if fresh and result.shape == shape and result.flags.c_contiguous:
+        return result
+    out = np.empty(shape)
+    np.copyto(out, result)  # keeps -0.0, as a copy does
+    return out
 
 
 def evaluate(expr: Expr, t=0.0, x=0.0):
@@ -506,77 +504,33 @@ def evaluate(expr: Expr, t=0.0, x=0.0):
     x = _operand(x)
     if np.count_nonzero(np.isfinite(t)) < t.size or np.count_nonzero(np.isfinite(x)) < x.size:
         raise EvalError("non-finite input")
-    program = expr._program
-    env = program.template.copy()
-    env[0] = t
-    env[1] = x
-    _execute(program.steps, env)
-    result = env[program.result]
-    shape = np.broadcast(t, x).shape
-    if shape == ():
-        return float(result)
-    # A fresh full-shape array is the caller's alone; an input, a scalar or
-    # a partial broadcast is not, and is copied.
-    fresh = isinstance(result, np.ndarray) and result is not t and result is not x
-    if fresh and result.shape == shape and result.flags.c_contiguous:
-        return result
-    out = np.empty(shape)
-    np.copyto(out, result)  # keeps -0.0, as a copy does
-    return out
+    return _run(expr._program, t, x, np.broadcast(t, x).shape)
 
 
-class _Bound:
-    """``expr`` at a fixed 1-D t, as a function of x; see ``bind``."""
-
-    def __init__(self, expr: Expr, t):
-        t = _operand(t)
-        if t.ndim != 1:
-            raise ValueError(f"t must be a 1-d array, got shape {t.shape}")
-        if np.count_nonzero(np.isfinite(t)) < t.size:
-            raise EvalError("non-finite input")
-        self.expr = expr
-        self.t = t
-        self._warm = None  # the slots after a first evaluation, x-free values kept
-
-    def __call__(self, x) -> np.ndarray:
-        x = _operand(x)
-        if x.shape != self.t.shape:
-            raise ValueError(f"x must have the shape {self.t.shape} of t, got {x.shape}")
-        if np.count_nonzero(np.isfinite(x)) < x.size:
-            raise EvalError("non-finite input")
-        program = self.expr._program
-        if self._warm is None:
-            env = program.template.copy()
-            env[0] = self.t
-            env[1] = x
-            _execute(program.steps, env)
-            warm = program.template.copy()
-            warm[0] = self.t
-            for slot in program.pinned:
-                warm[slot] = env[slot]
-            self._warm = warm
-        else:
-            env = self._warm.copy()
-            env[1] = x
-            _execute(program.x_steps, env)
-        result = env[program.result]
-        if program.fresh:
-            return result
-        out = np.empty(self.t.shape)
-        np.copyto(out, result)
-        return out
-
-
-def bind(expr: Expr, t) -> _Bound:
+def bind(expr: Expr, t) -> Callable[[np.ndarray], np.ndarray]:
     """``expr`` at a fixed 1-D array t, as a function of x of t's shape.
 
     Calling the result gives ``evaluate(expr, t, x)`` bit for bit, and
     raises where evaluate raises.  t is checked here, once; each call
-    checks only x.  The terms that do not depend on x are computed by the
-    first call that succeeds and reused by the later ones, so a failure
-    among them surfaces at the same call as with evaluate.
+    checks only x and then runs the whole program, as evaluate does.
+    Between calls a binding keeps only the tree and t.
     """
-    return _Bound(expr, t)
+    t = _operand(t)
+    if t.ndim != 1:
+        raise ValueError(f"t must be a 1-d array, got shape {t.shape}")
+    if np.count_nonzero(np.isfinite(t)) < t.size:
+        raise EvalError("non-finite input")
+    shape = t.shape
+
+    def bound(x) -> np.ndarray:
+        x = _operand(x)
+        if x.shape != shape:
+            raise ValueError(f"x must have the shape {shape} of t, got {x.shape}")
+        if np.count_nonzero(np.isfinite(x)) < x.size:
+            raise EvalError("non-finite input")
+        return _run(expr._program, t, x, shape)
+
+    return bound
 
 
 def diff(expr: Expr, var: str) -> Expr:

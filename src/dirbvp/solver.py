@@ -17,6 +17,7 @@ import numpy as np
 
 from .discrete_op import (
     SingularJacobianError,
+    _interior_nodes,
     _jacobian,
     _residual,
     jacobian,
@@ -99,7 +100,7 @@ def newton_solve(spec: ProblemSpec, n: int, cfg: SolverConfig | None = None) -> 
     elif cfg.initial_guess.n != n:
         raise ValueError(f"initial guess lives on n={cfg.initial_guess.n}, expected n={n}")
     else:
-        values = cfg.initial_guess.values  # read-only: the first accepted step moves off it
+        values = cfg.initial_guess.values.copy()
 
     trace: list[tuple[int, float, float]] = []
 
@@ -115,7 +116,7 @@ def newton_solve(spec: ProblemSpec, n: int, cfg: SolverConfig | None = None) -> 
     # t_k, f and f_x bound to it, and v(t_k) are fixed for the solve; scaling
     # tol by the size of v keeps the stopping test from getting harsher on
     # finer grids, as residuals carry a 1/N^2 factor.
-    t = np.arange(1, n) / n
+    t = _interior_nodes(n)
     f = bind(spec.f, t)
     fx = bind(spec.fx, t)
     try:
@@ -156,8 +157,6 @@ def newton_solve(spec: ProblemSpec, n: int, cfg: SolverConfig | None = None) -> 
                 return report(MAX_ITER, values, r_norm, iterations)
 
         values, trial = trial, values
-        if not trial.flags.writeable:  # the initial guess's values
-            trial = np.zeros(n + 1)
         r, r_norm = r_new, r_new_norm
         iterations += 1
         trace.append((iterations, r_norm, lam))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -615,7 +616,7 @@ def _grid(t, *xs):
 def test_bound_evaluation_matches_evaluate_and_the_walk(expr, grid):
     t, *xs = grid
     bound = bind(expr, t)  # building the binding evaluates nothing
-    for x in xs:  # the first call computes the x-free terms, the later ones reuse them
+    for x in xs:  # every call runs the whole program
         expected = _message_or_value(_walk_evaluate, expr, t, x)
         for got in (
             _message_or_value(evaluate, expr, t, x),
@@ -679,7 +680,7 @@ def test_shared_subtree_runs_once_per_evaluation():
     assert len(BinOp("/", u, BinOp("^", u, Num(2.0)))._program.steps) == 3 + 2
 
 
-def test_binding_computes_x_free_terms_once(monkeypatch):
+def test_binding_runs_every_step_per_call(monkeypatch):
     calls = []
 
     def counting_sin(value, original=np.sin):
@@ -692,5 +693,28 @@ def test_binding_computes_x_free_terms_once(monkeypatch):
     bound = bind(tree, t)
     for k in range(4):
         np.testing.assert_array_equal(bound(np.full(5, float(k))), evaluate(tree, t, np.full(5, float(k))))
-    # evaluate computes both sin(t) each time; the binding only on its first call
-    assert len(calls) == 4 * 3 + 2 + 4
+    # a bound call and evaluate each run all three sin
+    assert len(calls) == 4 * 3 + 4 * 3
+
+
+def test_binding_keeps_no_arrays_between_calls():
+    f = parse(F2)
+    fx = diff(f, "x")
+    n = 100_000
+    t = np.arange(1, n) / n
+    x = np.linspace(-1.0, 1.0, n - 1)
+    for tree in (f, fx):
+        evaluate(tree, t, x)  # compile outside the traced run
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        bindings = [bind(f, t), bind(fx, t)]
+        for bound in bindings:
+            for _ in range(2):
+                bound(x)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # f2's exp(t - pi) and exp(t), and f_x's terms on them, are t-only arrays
+    # of 0.8 MB each; a binding keeps none of them
+    assert after - before < 64 * 1024
