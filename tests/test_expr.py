@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,68 @@ def test_eval_integer_power_of_negative_base():
     assert evaluate(parse("x^0"), 0.0, 0.0) == 1.0
 
 
+def test_odd_integer_power_is_odd_bitwise():
+    x = np.random.default_rng(3).uniform(0.1, 60.0, 100_000)
+    cube = parse("x^3")
+    assert np.array_equal(evaluate(cube, 0.0, -x).view(np.int64), (-evaluate(cube, 0.0, x)).view(np.int64))
+
+
+def test_square_is_bitwise_np_power_two():
+    bits = np.random.default_rng(4).integers(0, 2**64, 1_000_000, dtype=np.uint64, endpoint=False)
+    x = bits.view(np.float64)
+    with np.errstate(all="ignore"):
+        x = x[np.isfinite(x) & np.isfinite(np.power(x, 2.0))]
+    assert x.size > 400_000
+    expected = np.power(x, 2.0)
+    assert np.array_equal(evaluate(parse("x^2"), 0.0, x).view(np.int64), expected.view(np.int64))
+
+
+def _cpu_dispatch():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return list(__cpu_dispatch__)
+
+
+def test_solve_csv_does_not_depend_on_simd_dispatch(tmp_path):
+    dispatch = _cpu_dispatch()
+    if not dispatch:
+        pytest.skip("this numpy dispatches to no SIMD target at run time")
+    root = Path(__file__).resolve().parents[1]
+    csvs = []
+    for name, disabled in (("usual", None), ("baseline", " ".join(dispatch))):
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled is not None:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        out = tmp_path / f"{name}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "dirbvp.cli", "solve", "--config", str(root / "configs" / "f3.txt"),
+             "--n", "10000", "--output", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        csvs.append(out.read_bytes())
+    # f3's negative solution runs x^3 and x^2 on negative bases, where numpy's
+    # pow differs between its SIMD targets in the last bit
+    assert csvs[0] == csvs[1]
+
+
+def test_integer_power_edge_cases():
+    assert evaluate(parse("x^-2"), 0.0, 1e200) == 0.0  # underflow, not an overflow of 1e200^2
+    with pytest.raises(EvalError, match="non-finite"):
+        evaluate(parse("x^-2"), 0.0, 1e-200)
+    with pytest.raises(EvalError, match="zero base with a negative exponent"):
+        evaluate(parse("x^-1"), 0.0, 0.0)
+    with pytest.raises(EvalError, match="non-finite"):
+        evaluate(parse("x^3"), 0.0, 1e103)
+    huge = parse("x^1e300")
+    assert evaluate(huge, 0.0, 0.5) == 0.0
+    assert evaluate(huge, 0.0, 1.0) == 1.0
+    with pytest.raises(EvalError, match="non-finite"):
+        evaluate(huge, 0.0, 2.0)
+
+
 def test_eval_broadcasts_arrays():
     expr = parse("t + x^2")
     t = np.array([0.0, 0.5, 1.0])
@@ -221,8 +287,31 @@ def test_format_expr_round_trips_through_parse():
             np.testing.assert_allclose(evaluate(again, t, x), evaluate(expr, t, x), rtol=1e-14)
 
 
+def _chain_power(base, c):
+    """base^c for an integer c != 0, by the chain that defines integer '^'.
+
+    p is base for c > 0 and 1/base for c < 0.  Squaring upward runs p
+    through p, p^2, p^4, ...; the first of them at a set bit of |c| starts
+    the product and each later one at a set bit multiplies it as
+    square * product.  Plain IEEE products, written as a loop; a square is
+    np.square, bitwise p*p, so that an overflow there names the same ufunc.
+    """
+    p = base if c > 0 else 1.0 / base
+    k = int(abs(c))
+    product = None
+    while True:
+        if k & 1:
+            product = p if product is None else p * product
+        k >>= 1
+        if not k:
+            return product
+        p = np.square(p)
+
+
 # Reference: the tree walk that checks every node's result for finiteness,
-# kept verbatim from before evaluate trapped floating-point flags instead.
+# kept verbatim from before evaluate trapped floating-point flags instead,
+# apart from '^' with an integer exponent other than 0, which is defined by
+# _chain_power in place of np.power.
 _REFERENCE_FUNCTIONS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -283,7 +372,8 @@ def _reference_eval_power(base, exponent):
     if c == round(c):
         if c < 0 and np.any(base == 0.0):
             raise EvalError("zero base with a negative exponent")
-        return _reference_check_finite(np.power(base, c), "'^'")
+        value = _chain_power(base, c) if c != 0 else np.power(base, c)
+        return _reference_check_finite(value, "'^'")
     if np.any(base <= 0.0):
         raise EvalError("non-integer power of a non-positive base")
     return _reference_check_finite(np.power(base, c), "'^'")
@@ -388,7 +478,8 @@ def test_parse_rejects_out_of_range_number():
 
 
 # Second reference: the trapped tree walk that evaluate ran before it
-# compiled trees, kept verbatim apart from the names.
+# compiled trees, kept verbatim apart from the names and from '^' with an
+# integer exponent other than 0, which is _chain_power in place of np.power.
 def _walk_eval(node, t, x):
     if isinstance(node, Num):
         return np.float64(node.value)
@@ -427,6 +518,8 @@ def _walk_eval_power(base, exponent):
     if c == round(c):
         if c < 0 and np.any(base == 0.0):
             raise EvalError("zero base with a negative exponent")
+        if c != 0:
+            return _chain_power(base, c)
     elif np.any(base <= 0.0):
         raise EvalError("non-integer power of a non-positive base")
     return np.power(base, c)
