@@ -7,7 +7,7 @@ uses '.' decimals at full round-trip precision, so identical inputs
 produce byte-identical files.
 
 Exit codes: 0 success, 1 a checked condition is violated, 2 solver or
-configuration failure.
+configuration failure, or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -159,9 +159,12 @@ def _emit(chunks, output) -> None:
     """Write the strings in ``chunks`` to the output file, or to stdout without one."""
     if output is None:
         sys.stdout.writelines(chunks)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as stream:
             stream.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {output}: {exc}")
 
 
 def _report_dict(report) -> dict:

@@ -18,7 +18,6 @@ evaluation, not of normal form.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
@@ -138,15 +137,6 @@ class Call(_Node):
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
 
-_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "atan": np.arctan,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-}
-
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _TOKEN_RE = re.compile(
@@ -261,7 +251,7 @@ class _Parser:
                 return Var(text)
             if text in _CONSTANTS:
                 return Num(_CONSTANTS[text])
-            if text in _FUNCTIONS:
+            if text in _CALLS:
                 self.expect_op("(")
                 arg = self.expression()
                 k, sym, p = self.peek()
@@ -318,75 +308,27 @@ def _sqrt(value):
     return np.sqrt(value)
 
 
-@functools.lru_cache(maxsize=64)
-def _integer_power(k):
-    """The function p -> p^k for an integer k >= 1, by binary powering.
-
-    Knuth, TAOCP vol. 2, 4.6.3, from the low bits: squaring upward runs
-    p through p, p^2, p^4, ...; the first of them at a set bit of k starts
-    the product r, and each later one at a set bit multiplies it as
-    square * r.  So k = 2 is p*p, k = 3 is (p*p)*p and k = 6 is
-    ((p*p)*(p*p))*(p*p).  A square is np.square, bitwise p*p and about
-    twice as fast on arrays.  The chain is written out once per k as
-    straight-line code, so a call runs no loop and nests no calls,
-    whatever k.
-    """
-    lines = ["def power(p):"]
-    started = False
-    while True:
-        if k & 1:
-            lines.append("    r = p * r" if started else "    r = p")
-            started = True
-        k >>= 1
-        if not k:
-            break
-        lines.append("    p = square(p)")
-    lines.append("    return r")
-    scope = {"square": np.square}
-    exec("\n".join(lines), scope)
-    return scope["power"]
+def _reciprocal(value):
+    if np.count_nonzero(value == 0.0):
+        raise EvalError("zero base with a negative exponent")
+    return 1.0 / value
 
 
-def _power(c):
-    """``value ^ c``; the domain check and the method depend on c alone.
-
-    An integer c other than 0 is computed by multiplication alone: p^|c|
-    by ``_integer_power``, with p = value for c > 0 and p = 1/value for
-    c < 0, after a check for a zero base.  Each step is one IEEE product
-    or quotient, so the bits are the same on every CPU, and (-v)^c is
-    exactly ±(v^c); np.power's last bit depends on both, as the sin, exp
-    and atan calls still do.  Powering 1/value keeps underflow harmless:
-    (1e200)^-2 is 0.0, where 1/(1e200^2) would overflow.  c = 0 and a
-    non-integer c, which needs a positive base, use np.power.
-    """
-    if c != round(c):
-
-        def power(value):
-            if np.count_nonzero(value <= 0.0):
-                raise EvalError("non-integer power of a non-positive base")
-            return np.power(value, c)
-
-    elif c == 0:
-
-        def power(value):
-            return np.power(value, c)
-
-    elif c < 0:
-        chain = _integer_power(int(-c))
-
-        def power(value):
-            if np.count_nonzero(value == 0.0):
-                raise EvalError("zero base with a negative exponent")
-            return chain(1.0 / value)
-
-    else:
-        power = _integer_power(int(c))
-
-    return power
+def _real_power(value, c):
+    if np.count_nonzero(value <= 0.0):
+        raise EvalError("non-integer power of a non-positive base")
+    return np.power(value, c)
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
-_CALLS = {**_FUNCTIONS, "sqrt": _sqrt}
+_CALLS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "atan": np.arctan,
+    "sqrt": _sqrt,
+    "abs": np.abs,
+}
 
 # A kernel is what a node computes once folded: a constant, as np.float64,
 # or a pair (function, operand kernels).  The variables are the pairs _T
@@ -422,10 +364,10 @@ def _compile(node: Expr):
 
     Only folds that keep every bit and every trap are made: an operation on
     constants becomes its value unless computing it traps, and y*1.0,
-    1.0*y, y/1.0, y-(+0.0) and y^1.0 become y.  0.0*y, y+0.0, 0.0+y and
-    0.0-y stay, for the sign of zero and the traps of y.  A malformed tree
-    (an unknown operator or a variable exponent) raises EvalError here,
-    before any arithmetic.
+    1.0*y, y/1.0 and y-(+0.0) become y, as y^1.0 is.  0.0*y, y+0.0, 0.0+y
+    and 0.0-y stay, for the sign of zero and the traps of y.  A malformed
+    tree (an unknown operator or a variable exponent) raises EvalError
+    here, before any arithmetic.
     """
     if isinstance(node, BinOp):
         op = node.op
@@ -433,8 +375,7 @@ def _compile(node: Expr):
         if op == "^":
             if not isinstance(node.right, Num):
                 raise EvalError("exponent must be a constant")
-            c = node.right.value
-            return left if c == 1.0 else _fold(_power(c), (left,))
+            return _power(left, node.right.value)
         right = node.right._kernel
         if op not in _BINARY:
             raise EvalError(f"unknown operator {op!r}")
@@ -453,6 +394,28 @@ def _compile(node: Expr):
     raise TypeError(f"unknown node {node!r}")
 
 
+def _power(base, c):
+    # The kernel of base^c.  An integer c != 0 is binary powering (Knuth, TAOCP
+    # vol. 2, 4.6.3) of base, or of 1/base after the zero-base check when c < 0,
+    # as np.square and products; product * square is bitwise square * product
+    # and makes a walk run the steps in this loop's order.  Else np.power.
+    if c != round(c):
+        return _fold(_real_power, (base, np.float64(c)))
+    if c == 0:
+        return _fold(np.power, (base, np.float64(c)))
+    if c < 0:
+        base = _fold(_reciprocal, (base,))
+    k = int(abs(c))
+    product = None
+    while True:
+        if k & 1:
+            product = base if product is None else _fold(operator.mul, (product, base))
+        k >>= 1
+        if not k:
+            return product
+        base = _fold(np.square, (base,))
+
+
 class _Program:
     """The steps of one compiled tree, in the order of a walk over it.
 
@@ -468,24 +431,29 @@ class _Program:
         slots = {id(_T): 0, id(_X): 1}
         order = []
 
-        def visit(op):
-            for arg in op[1]:
-                key = id(arg)
-                if key in slots:
-                    continue
-                if type(arg) is np.float64:
-                    slots[key] = len(template)
-                    template.append(arg)
-                else:
-                    visit(arg)
-            slots[id(op)] = None  # visited; its slot is chosen below
-            order.append(op)
-
         if type(root) is np.float64:
             slots[id(root)] = len(template)
             template.append(root)
         elif root[0] is not None:
-            visit(root)
+            # A walk with a stack of (op, its operands not yet seen): a chain
+            # of powers nests ops deeper than Python's recursion limit.
+            stack = [(root, iter(root[1]))]
+            while stack:
+                op, args = stack[-1]
+                for arg in args:
+                    key = id(arg)
+                    if key in slots:
+                        continue
+                    if type(arg) is np.float64:
+                        slots[key] = len(template)
+                        template.append(arg)
+                    else:
+                        stack.append((arg, iter(arg[1])))
+                        break
+                else:
+                    stack.pop()
+                    slots[id(op)] = None  # visited; its slot is chosen below
+                    order.append(op)
             slots[id(root)] = len(template)
             template.append(None)
         # Backwards from the last op: a result takes a slot at its last user

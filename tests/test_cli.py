@@ -354,6 +354,18 @@ def test_main_overrides_and_exit_codes(tmp_path, capsys):
     assert len(table.read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("command", ["check", "solve", "converge", "norms"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, where):
+    output = tmp_path / "missing" / "out.csv" if where == "missing directory" else tmp_path
+    argv = [command, "--output", str(output), "--n", "8"]
+    if command != "norms":
+        argv += ["--config", str(CONFIGS / "f1.txt"), "--ns", "4,8"]
+    # exit 1 means a violated condition, so an output that cannot be written is 2
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {output}: ")
+
+
 def test_converge_deterministic_bytes(tmp_path):
     config = load_config(write(tmp_path, F1_CONFIG))
     first = tmp_path / "a.csv"

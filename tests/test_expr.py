@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dirbvp import corpus
 from dirbvp import expr as expr_module
 from dirbvp.expr import (
     BinOp,
@@ -185,6 +187,47 @@ def test_integer_power_edge_cases():
     assert evaluate(huge, 0.0, 1.0) == 1.0
     with pytest.raises(EvalError, match="non-finite"):
         evaluate(huge, 0.0, 2.0)
+
+
+def _trapped_chain_power(base, c):
+    """_chain_power under evaluate's checks and traps: a value, or evaluate's message."""
+    if c < 0 and np.count_nonzero(base == 0.0):
+        return "zero base with a negative exponent"
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            return _chain_power(base, c)
+    except FloatingPointError as exc:
+        return f"non-finite result: {exc}"
+
+
+def test_integer_power_is_the_chain_bitwise():
+    rng = np.random.default_rng(17)
+    messages = set()
+    for c in [*range(-12, 0), *range(1, 13), 2**31 + 1, 2**53, 1e300, -1e300]:
+        tree = BinOp("^", Var("x"), Num(float(c)))
+        signs = rng.choice([-1.0, 1.0], 48)
+        spread = signs * 10.0 ** rng.uniform(-160.0, 160.0, 48)
+        spread[:16] = signs[:16] * (1.0 + rng.integers(-8, 9, 16) * 2.0**-52)
+        # 1e120^7: the product p^2 * p overflows before the square p^4 would
+        fixed = [0.0, -0.0, 5e-324, 0.5, -2.0, 1e120, -1e120]
+        moderate = signs * np.exp(rng.uniform(-1.0, 1.0, 48) * (300.0 / abs(c)))
+        assert not isinstance(_trapped_chain_power(moderate, c), str)
+        for x in [*spread, *fixed, spread, moderate]:
+            expected = _trapped_chain_power(np.float64(x) if np.ndim(x) == 0 else x, c)
+            got = _message_or_value(evaluate, tree, 0.0, x)
+            if isinstance(expected, str):
+                assert got == expected, (c, x)
+                messages.add(expected)
+            else:
+                assert not isinstance(got, str), (c, x, got)
+                assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(expected).view(np.int64))
+    assert "zero base with a negative exponent" in messages
+    for ufunc in ("square", "multiply", "divide"):
+        assert any(message.endswith(ufunc) for message in messages), ufunc
+    tiny = BinOp("^", Var("x"), Num(-1e300))
+    assert evaluate(tiny, 0.0, 2.0) == 0.0
+    with pytest.raises(EvalError, match="overflow encountered in square"):
+        evaluate(tiny, 0.0, 0.5)
 
 
 def test_eval_broadcasts_arrays():
@@ -771,6 +814,38 @@ def test_shared_subtree_runs_once_per_evaluation():
     assert len(fx._program.steps) == 24 - 3 - 1 - 3
     u = parse("2*x^2 + 4")
     assert len(BinOp("/", u, BinOp("^", u, Num(2.0)))._program.steps) == 3 + 2
+
+
+# The functions a compiled program calls: every step is one of these
+# module-level functions, with its operands in slots, so an evaluator over
+# other numbers (intervals, say) can map each of them.
+_INSTRUCTIONS = {
+    operator.add, operator.sub, operator.mul, operator.neg, expr_module._divide,
+    np.sin, np.cos, np.exp, np.arctan, expr_module._sqrt, np.abs,
+    np.square, expr_module._reciprocal, np.power, expr_module._real_power,
+}
+
+
+def _instructions(tree):
+    return {function for function, *_ in tree._program.steps}
+
+
+def test_corpus_programs_use_only_the_fixed_instructions():
+    used = set()
+    for name in corpus.names():
+        problem = corpus.build(name)
+        spec = getattr(problem, "spec", problem)
+        for tree in (spec.f, spec.fx, spec.v):
+            used |= _instructions(tree)
+    assert used <= _INSTRUCTIONS
+    assert np.square in used and operator.mul in used
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(expr=_shared_trees)
+@example(expr=parse("x^-7 + x^2.5 + x^0 + (2*x)^(2^53)"))
+def test_programs_use_only_the_fixed_instructions(expr):
+    assert _instructions(expr) <= _INSTRUCTIONS
 
 
 def test_binding_runs_every_step_per_call(monkeypatch):

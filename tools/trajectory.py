@@ -8,7 +8,8 @@ and 10^6 (those up to ``--max-n``) it times ``newton_solve`` from zero,
 and then, at the solution it returns, each layer a Newton step runs:
 f, f_x and v bound to the interior nodes, ``_residual``, ``_jacobian``,
 ``solve_tridiagonal``, one Armijo trial (a trial point and its residual)
-and ``GridFunction`` construction.  It also times the CLI in process:
+and ``GridFunction`` construction, and it counts the steps of the
+compiled f, f_x and v programs.  It also times the CLI in process:
 ``solve`` on those four configs at the same sizes, and ``check`` and
 ``converge`` on every config under ``configs/``.
 
@@ -96,6 +97,9 @@ def layers(name: str, n: int, repeat: int) -> dict:
         "n": n,
         "status": report.status,
         "iterations": report.iterations,
+        # the steps of the compiled programs the layers below run
+        "steps": {key: len(tree._program.steps)
+                  for key, tree in (("f", spec.f), ("fx", spec.fx), ("v", spec.v))},
         "ms": {"newton_solve": best_ms(lambda: solver.newton_solve(spec, n), repeat)},
     }
     values = report.solution.values
