@@ -101,11 +101,13 @@ def residual(spec: ProblemSpec, x: GridFunction) -> Residual:
 
 def _residual(f, v_vals, values) -> tuple[np.ndarray, float]:
     # ``residual`` of all N+1 grid values (zero ends) as (vector, norm), given
-    # f bound to the interior nodes and v there; the norm is numpy's 2-norm
+    # f bound to the interior nodes and v there.  The norm sums the squares,
+    # written over second_diff, by numpy's pairwise reduction: BLAS ddot's
+    # last bit depends on its thread count
     f_vals = f(values[1:-1])
     second_diff = values[2:] - 2.0 * values[1:-1] + values[:-2]
     vector = second_diff - (f_vals + v_vals) / (values.size - 1) ** 2
-    return vector, math.sqrt(vector.dot(vector))
+    return vector, math.sqrt(np.add.reduce(np.multiply(vector, vector, out=second_diff)))
 
 
 def jacobian(spec: ProblemSpec, x: GridFunction) -> Tridiagonal:

@@ -11,9 +11,10 @@ multiplication)::
     atom   := NUMBER | 't' | 'x' | 'pi' | 'e' | NAME '(' expr ')' | '(' expr ')'
 
 Exponents must be constant (variable-free) subexpressions, so the power
-rule of differentiation applies verbatim.  Derivative trees are built
-without algebraic simplification; expression equality is a matter of
-evaluation, not of normal form.
+rule of differentiation applies verbatim.  Derivative trees omit the
+terms the rules make identically zero and the factors of one, and are not
+otherwise simplified; expression equality is a matter of evaluation, not
+of normal form.
 """
 
 from __future__ import annotations
@@ -548,12 +549,51 @@ def bind(expr: Expr, t) -> Callable[[np.ndarray], np.ndarray]:
 def diff(expr: Expr, var: str) -> Expr:
     """Exact symbolic partial derivative of ``expr`` with respect to ``var``.
 
-    The returned tree is not simplified; its correctness is defined by
-    evaluation.  abs is rejected since its derivative is discontinuous.
+    The tree omits the terms that the rules make identically zero and the
+    factors of one: 0*y and y*0 become 0; y*1, 1*y, y + 0, 0 + y and y - 0
+    become y; 0 - y becomes -y, and -(-y) becomes y; u^1 differentiates to
+    du, without the factor 1*u^0.  Where the tree of the full rules
+    evaluates, this one gives the same bits, except that an exact zero may
+    have the other sign.  It raises only where that tree raises, and not
+    where only an omitted term, such as exp(1000*t)*0, traps.  The quotient
+    rule keeps its / v^2, and the atan and sqrt rules their divisions, when
+    the numerator is 0, so a derivative still raises where a denominator of
+    ``expr`` vanishes.  abs is rejected since its derivative is
+    discontinuous.
     """
     if var not in ("t", "x"):
         raise ValueError(f"var must be 't' or 'x', got {var!r}")
     return _diff(expr, var)
+
+
+def _is(node: Expr, value: float) -> bool:
+    return isinstance(node, Num) and node.value == value
+
+
+def _neg(u: Expr) -> Expr:
+    if _is(u, 0.0):
+        return Num(0.0)
+    return u.arg if isinstance(u, Neg) else Neg(u)
+
+
+def _add(u: Expr, v: Expr) -> Expr:
+    if _is(v, 0.0):
+        return u
+    return v if _is(u, 0.0) else BinOp("+", u, v)
+
+
+def _sub(u: Expr, v: Expr) -> Expr:
+    if _is(v, 0.0):
+        return u
+    return _neg(v) if _is(u, 0.0) else BinOp("-", u, v)
+
+
+def _mul(u: Expr, v: Expr) -> Expr:
+    if _is(u, 0.0) or _is(v, 0.0):
+        return Num(0.0)
+    if _is(v, 1.0):
+        return u
+    return v if _is(u, 1.0) else BinOp("*", u, v)
 
 
 def _diff(node: Expr, var: str) -> Expr:
@@ -562,17 +602,19 @@ def _diff(node: Expr, var: str) -> Expr:
     if isinstance(node, Var):
         return Num(1.0 if node.name == var else 0.0)
     if isinstance(node, Neg):
-        return Neg(_diff(node.arg, var))
+        return _neg(_diff(node.arg, var))
     if isinstance(node, BinOp):
         u, v = node.left, node.right
         du = _diff(u, var)
-        if node.op in "+-":
-            return BinOp(node.op, du, _diff(v, var))
+        if node.op == "+":
+            return _add(du, _diff(v, var))
+        if node.op == "-":
+            return _sub(du, _diff(v, var))
         if node.op == "*":
-            return BinOp("+", BinOp("*", du, v), BinOp("*", u, _diff(v, var)))
+            return _add(_mul(du, v), _mul(u, _diff(v, var)))
         if node.op == "/":
             dv = _diff(v, var)
-            numerator = BinOp("-", BinOp("*", du, v), BinOp("*", u, dv))
+            numerator = _sub(_mul(du, v), _mul(u, dv))
             return BinOp("/", numerator, BinOp("^", v, Num(2.0)))
         if node.op == "^":
             c = v.value if isinstance(v, Num) else None
@@ -581,17 +623,18 @@ def _diff(node: Expr, var: str) -> Expr:
             if c == 0.0:
                 # u^0 is constant 1; the power-rule tree would divide by u.
                 return Num(0.0)
-            return BinOp("*", BinOp("*", Num(c), BinOp("^", u, Num(c - 1.0))), du)
+            power = Num(1.0) if c == 1.0 else BinOp("^", u, Num(c - 1.0))
+            return _mul(_mul(Num(c), power), du)
         raise NonDifferentiableError(f"unknown operator {node.op!r}")
     if isinstance(node, Call):
         u = node.arg
         du = _diff(u, var)
         if node.fn == "sin":
-            return BinOp("*", Call("cos", u), du)
+            return _mul(Call("cos", u), du)
         if node.fn == "cos":
-            return BinOp("*", Neg(Call("sin", u)), du)
+            return _mul(Neg(Call("sin", u)), du)
         if node.fn == "exp":
-            return BinOp("*", Call("exp", u), du)
+            return _mul(Call("exp", u), du)
         if node.fn == "atan":
             return BinOp("/", du, BinOp("+", Num(1.0), BinOp("^", u, Num(2.0))))
         if node.fn == "sqrt":

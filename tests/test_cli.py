@@ -10,6 +10,7 @@ from dirbvp import cli, corpus
 from dirbvp import problem as problem_module
 from dirbvp.cli import ConfigError, ProblemConfig, build_problem, load_config, main, run
 from dirbvp.convergence import ManufacturedProblem, run_study
+from dirbvp.expr import EvalError
 from dirbvp.grid import GridFunction, random_element
 from dirbvp.solver import SolverConfig, newton_solve
 
@@ -297,6 +298,24 @@ fx_lower = -1
     assert report["fx_lower"]["witnesses"]
     assert report["growth"]["verdict"] == "no-violation-found"
     assert "violated" in capsys.readouterr().out
+
+
+def test_check_names_the_pole_of_f_and_of_its_derivative(tmp_path, capsys):
+    # f_x = 1 + 0/(t - 0.5)^2: diff keeps the division of a zero numerator
+    text = """\
+name = pole
+f = x + 1/(t - 0.5)
+v = 1
+A = 0.5
+B = 0.5
+fx_lower = -10
+"""
+    path = write(tmp_path, text)
+    assert main(["check", "--config", str(path)]) == 2
+    assert "evaluation failed at sample point (t=0.5, x=" in capsys.readouterr().err
+    spec = build_problem(load_config(path))
+    with pytest.raises(EvalError, match=r"at sample point \(t=0\.5, x="):
+        problem_module.check_fx_lower(spec, x_range=2.0)
 
 
 def test_check_clean_exit_code(tmp_path, capsys):

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from dirbvp import corpus
 from dirbvp import expr as expr_module
+from dirbvp.convergence import ManufacturedProblem
 from dirbvp.expr import (
     BinOp,
     Call,
     EvalError,
+    Expr,
     Neg,
     NonDifferentiableError,
     Num,
@@ -258,6 +260,26 @@ def test_second_t_derivative_of_sine():
         np.testing.assert_allclose(
             evaluate(d2, t, 0.0), -math.pi**2 * math.sin(math.pi * t), rtol=1e-12, atol=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "source, var, derivative",
+    [
+        ("t*x + 2", "x", "t"),  # 0*x + t*1 + 0
+        ("x*exp(t - pi) - atan(x) + exp(t)", "x", "(exp((t - 3.141592653589793)) - (1.0 / (1.0 + (x ^ 2.0))))"),
+        ("t - sin(x)", "x", "(-cos(x))"),  # 0 - cos(x)*1
+        ("t - cos(x)", "x", "sin(x)"),  # 0 - (-sin(x))*1
+        ("sin(pi*t)", "t", "(cos((3.141592653589793 * t)) * 3.141592653589793)"),
+        ("t^2 - t", "t", "((2.0 * (t ^ 1.0)) - 1.0)"),
+        ("(t + x)^1", "x", "1.0"),  # 1*(t + x)^0*(0 + 1)
+        # a zero numerator keeps the quotient rule's division, and its traps
+        ("1/(t - 0.5)", "x", "(0.0 / ((t - 0.5) ^ 2.0))"),
+        ("atan(t)", "x", "(0.0 / (1.0 + (t ^ 2.0)))"),
+        ("sqrt(t)", "x", "(0.0 / (2.0 * sqrt(t)))"),
+    ],
+)
+def test_diff_builds_no_zero_term_or_factor_of_one(source, var, derivative):
+    assert format_expr(diff(parse(source), var)) == derivative
 
 
 def test_diff_rejects_abs():
@@ -808,12 +830,136 @@ def test_compiled_program_folds_only_what_keeps_every_bit(source, steps):
 def test_shared_subtree_runs_once_per_evaluation():
     f = parse("(t + sin(x))/(2*x^2 + 4)")
     fx = diff(f, "x")
-    # A walk over fx runs 24 operations.  The program skips the second run
-    # of the three in 2*x^2 + 4, which diff shares between two places, and
-    # of x^2, shared once more; cos(x)*1.0, x^1.0 and (2*x)*1.0 fold away.
-    assert len(fx._program.steps) == 24 - 3 - 1 - 3
+    # A walk over fx, which diff builds without zero terms or factors of
+    # 1.0, runs 17 operations.  The program skips the second run of the
+    # three in 2*x^2 + 4, which diff shares between two places, and x^1.0
+    # folds away.
+    assert len(fx._program.steps) == 17 - 3 - 1
     u = parse("2*x^2 + 4")
     assert len(BinOp("/", u, BinOp("^", u, Num(2.0)))._program.steps) == 3 + 2
+
+
+# The derivative by the full rules, which build every zero term and every
+# factor of 1.0: diff's tree must evaluate to the same bits wherever this
+# one evaluates, up to the sign of an exact zero.
+def _diff(node: Expr, var: str) -> Expr:
+    if isinstance(node, Num):
+        return Num(0.0)
+    if isinstance(node, Var):
+        return Num(1.0 if node.name == var else 0.0)
+    if isinstance(node, Neg):
+        return Neg(_diff(node.arg, var))
+    if isinstance(node, BinOp):
+        u, v = node.left, node.right
+        du = _diff(u, var)
+        if node.op in "+-":
+            return BinOp(node.op, du, _diff(v, var))
+        if node.op == "*":
+            return BinOp("+", BinOp("*", du, v), BinOp("*", u, _diff(v, var)))
+        if node.op == "/":
+            dv = _diff(v, var)
+            numerator = BinOp("-", BinOp("*", du, v), BinOp("*", u, dv))
+            return BinOp("/", numerator, BinOp("^", v, Num(2.0)))
+        if node.op == "^":
+            c = v.value if isinstance(v, Num) else None
+            if c is None:
+                raise NonDifferentiableError("power with a non-constant exponent")
+            if c == 0.0:
+                # u^0 is constant 1; the power-rule tree would divide by u.
+                return Num(0.0)
+            return BinOp("*", BinOp("*", Num(c), BinOp("^", u, Num(c - 1.0))), du)
+        raise NonDifferentiableError(f"unknown operator {node.op!r}")
+    if isinstance(node, Call):
+        u = node.arg
+        du = _diff(u, var)
+        if node.fn == "sin":
+            return BinOp("*", Call("cos", u), du)
+        if node.fn == "cos":
+            return BinOp("*", Neg(Call("sin", u)), du)
+        if node.fn == "exp":
+            return BinOp("*", Call("exp", u), du)
+        if node.fn == "atan":
+            return BinOp("/", du, BinOp("+", Num(1.0), BinOp("^", u, Num(2.0))))
+        if node.fn == "sqrt":
+            return BinOp("/", du, BinOp("*", Num(2.0), Call("sqrt", u)))
+        raise NonDifferentiableError(f"{node.fn} is not differentiable")
+    raise NonDifferentiableError(f"unknown node {node!r}")
+
+
+_DERIVATIVES = {
+    "d/dx": lambda differentiate, tree: differentiate(tree, "x"),
+    "d/dt": lambda differentiate, tree: differentiate(tree, "t"),
+    # the second t-derivative that manufacture takes of x_star
+    "d2/dt2": lambda differentiate, tree: differentiate(differentiate(tree, "t"), "t"),
+}
+
+
+def _assert_diff_is_the_full_rules(expr, point, derivative):
+    # but for omitted traps and signs of zero
+    take = _DERIVATIVES[derivative]
+    t, x = point
+    try:
+        full = take(_diff, expr)
+    except NonDifferentiableError:
+        with pytest.raises(NonDifferentiableError):
+            take(diff, expr)
+        return
+    expected = _message_or_value(evaluate, full, t, x)
+    got = _message_or_value(evaluate, take(diff, expr), t, x)
+    if isinstance(got, str):
+        assert isinstance(expected, str)  # raises only where the full rules raise
+    elif not isinstance(expected, str):
+        assert type(got) is type(expected)
+        got, expected = np.asarray(got), np.asarray(expected)
+        assert got.shape == expected.shape
+        same_bits = got.view(np.int64) == expected.view(np.int64)
+        assert np.all(same_bits | ((got == 0.0) & (expected == 0.0)))
+
+
+# _shared_trees draws the shapes of _trees over _fold_leaves, whose 1.0,
+# -1.0 and -0.0 reach the branches that omit terms
+@settings(max_examples=400, deadline=None, database=None)
+@given(expr=_shared_trees, point=_points, derivative=st.sampled_from(sorted(_DERIVATIVES)))
+# the full rules trap in exp(1000*t)*(0*t + 1000*0); diff computes no such term
+@example(expr=parse("exp(1000*t) + x"), point=(1.0, 2.0), derivative="d/dx")
+# the full rules give (-0.0)*(-1.0) + (-t) = +0.0; diff gives -t = -0.0
+@example(expr=parse("-t*x"), point=(0.0, -1.0), derivative="d/dx")
+# a zero numerator keeps the division, and the trap, of f's denominator
+@example(expr=parse("x + 1/(t - 0.5)"), point=(0.5, 1.0), derivative="d/dx")
+@example(expr=parse("atan(t)*x + sqrt(t - 0.5)"), point=(0.25, 1.0), derivative="d/dx")
+@example(expr=parse("sin(pi*t)"), point=(np.array([0.0, 0.5, 1.0]), 0.0), derivative="d2/dt2")
+def test_diff_is_the_full_rules_but_for_omitted_traps_and_signs_of_zero(expr, point, derivative):
+    _assert_diff_is_the_full_rules(expr, point, derivative)
+
+
+_SWEEP_LEAVES = [Var("t"), Var("x"), Num(0.0), Num(-0.0), Num(1.0), Num(-1.0), Num(2.5)]
+_SWEEP_POINT = (np.array([[0.0], [0.5], [1.0]]), np.array([[-1.0, -0.0, 0.0, 2.0]]))
+
+
+@pytest.mark.parametrize("derivative", sorted(_DERIVATIVES))
+@pytest.mark.parametrize("op", "+-*/")
+def test_diff_is_the_full_rules_on_every_operation_of_two_leaves(op, derivative):
+    for left in _SWEEP_LEAVES:
+        for right in _SWEEP_LEAVES:
+            node = BinOp(op, left, right)
+            for expr in (node, Neg(node), BinOp("*", node, Var("t")), BinOp("*", Var("x"), node)):
+                _assert_diff_is_the_full_rules(expr, _SWEEP_POINT, derivative)
+
+
+def test_corpus_derivative_programs_add_and_multiply_no_zero():
+    for name in corpus.names():
+        problem = corpus.build(name)
+        spec = getattr(problem, "spec", problem)
+        trees = {"fx": spec.fx}
+        if isinstance(problem, ManufacturedProblem):
+            trees["v"] = spec.v
+        for label, tree in trees.items():
+            program = tree._program
+            for function, i, j, _ in program.steps:
+                if function in (operator.add, operator.sub, operator.mul):
+                    for slot in (i, j):
+                        value = program.template[slot]
+                        assert not (type(value) is np.float64 and value == 0.0), (name, label)
 
 
 # The functions a compiled program calls: every step is one of these

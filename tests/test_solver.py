@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,7 +172,7 @@ def reference_newton_solve(spec, n, cfg=None):
         f_vals = evaluate(spec.f, t, x.interior)
         v_vals = evaluate(spec.v, t, 0.0)
         vector = second_difference(x) - (f_vals + v_vals) / x.n**2
-        return vector, float(np.linalg.norm(vector))
+        return vector, math.sqrt(np.add.reduce(vector * vector))
 
     def report(status, x, res_norm, iterations):
         return (status, iterations, res_norm, tuple(trace), x.values.tobytes())
@@ -213,6 +217,25 @@ def reference_newton_solve(spec, n, cfg=None):
         trace.append((iterations, r_norm, lam))
 
     return report(CONVERGED, x, r_norm, iterations)
+
+
+def test_residual_norm_does_not_depend_on_the_blas_thread_count():
+    # BLAS ddot's last bit changes with OpenBLAS's thread count at this size
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "from dirbvp import corpus, solver\n"
+        "print(solver.newton_solve(corpus.build('f2'), 100_000).residual_norm.hex())"
+    )
+    norms = []
+    for threads in (None, "1"):
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        norms.append(run.stdout)
+    assert norms[0] == norms[1]
 
 
 def assert_matches_reference(spec, n, cfg=None):
