@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -348,9 +349,19 @@ def main(argv=None) -> int:
             config = load_config(args.config)
             if args.ns is not None:
                 config = replace(config, ns=_convert("option '--ns'", _parse_ns, args.ns))
-        return run(args.command, config, output=args.output, seed=args.seed, n=args.n)
+        code = run(args.command, config, output=args.output, seed=args.seed, n=args.n)
+        sys.stdout.flush()
+        return code
     except (ConfigError, ParseError, EvalError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except BrokenPipeError as exc:
+        # The reader closed stdout early, as `| head` does.  What is left in
+        # the buffer goes to os.devnull, so the exit flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write(f"error: cannot write standard output: {exc}\n")
         return 2
 
 

@@ -7,6 +7,7 @@ this module is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,14 +112,20 @@ def norms(x: GridFunction) -> GridNorms:
 
     n_norm is the Euclidean norm of the interior values, delta_norm the
     Euclidean norm of all forward differences, e_norm the Euclidean norm
-    of the second differences, and sup_norm the max absolute value.
+    of the second differences, and sup_norm the max absolute value.  The
+    sums of squares are numpy's pairwise sums, not BLAS, whose result
+    depends on its thread count.
     """
     return GridNorms(
-        n_norm=float(np.linalg.norm(x.interior)),
-        delta_norm=float(np.linalg.norm(forward_difference(x))),
-        e_norm=float(np.linalg.norm(second_difference(x))),
+        n_norm=_euclidean(x.interior),
+        delta_norm=_euclidean(forward_difference(x)),
+        e_norm=_euclidean(second_difference(x)),
         sup_norm=float(np.max(np.abs(x.values))),
     )
+
+
+def _euclidean(v: np.ndarray) -> float:
+    return math.sqrt(np.add.reduce(v * v))
 
 
 def random_element(n: int, rng: np.random.Generator, amplitude: float = 1.0) -> GridFunction:

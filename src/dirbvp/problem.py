@@ -133,23 +133,37 @@ def _sample_grids(x_range: float, samples_t: int, samples_x: int):
 def _scan(condition, expr, t_grid, x_grid, rhs, violates) -> ConditionReport:
     """Evaluate ``expr`` in row blocks and report where it breaks the bound ``rhs``.
 
+    ``expr`` is evaluated only along the axes it uses: without x on one
+    column, without t on one row that stands for every row, in a single
+    block.  A variable that ``expr`` does not use changes no bit of its
+    value and raises no trap, so the report is the one of the full box.
     ``violates(block)`` may first turn the block into the left-hand side in
     place; it returns the mask of violations of ``rhs[j]``, the bound at
-    ``x_grid[j]``.  Witnesses are the first violations in row-major order.
+    ``x_grid[j]``, broadcast against ``rhs``.  Witnesses are the first
+    violations in row-major order.
     """
+    uses_t = uses_var(expr, "t")
+    x_axis = x_grid[None, :] if uses_var(expr, "x") else x_grid[None, :1]
+    block_rows = _BLOCK_ROWS if uses_t else t_grid.size
     count = 0
     witnesses = []
-    for start in range(0, t_grid.size, _BLOCK_ROWS):
-        t_block = t_grid[start : start + _BLOCK_ROWS]
+    for start in range(0, t_grid.size, block_rows):
+        t_block = t_grid[start : start + block_rows]
         try:
-            lhs = evaluate(expr, t_block[:, None], x_grid[None, :])
+            lhs = evaluate(expr, t_block[:, None] if uses_t else t_block[:1, None], x_axis)
         except EvalError as exc:
             _locate_failure(expr, t_grid[start:], x_grid, exc)
         bad = violates(lhs)
-        found = int(np.count_nonzero(bad))
+        # a one-row mask stands for every row of the block
+        found = int(np.count_nonzero(bad)) * (t_block.size // bad.shape[0])
         if found and len(witnesses) < _WITNESS_CAP:
-            rows, cols = np.nonzero(bad)
-            for i, j in zip(rows[: _WITNESS_CAP - len(witnesses)], cols):
+            # each row with a violation holds at least one witness
+            hit = np.broadcast_to(bad.any(axis=1), t_block.shape)
+            rows = np.flatnonzero(hit)[: _WITNESS_CAP - len(witnesses)]
+            bad = np.broadcast_to(bad, (t_block.size, x_grid.size))
+            lhs = np.broadcast_to(lhs, bad.shape)
+            picked, cols = np.nonzero(bad[rows])
+            for i, j in zip(rows[picked[: _WITNESS_CAP - len(witnesses)]], cols):
                 witnesses.append(
                     (float(t_block[i]), float(x_grid[j]), float(lhs[i, j]), float(rhs[j]))
                 )

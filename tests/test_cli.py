@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,7 +50,15 @@ N = 10
 """
 
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+
+
+def _dirbvp(argv, env=os.environ):
+    """Start ``dirbvp argv`` in a new process with the environment ``env``."""
+    env = {**env, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.Popen([sys.executable, "-m", "dirbvp.cli", *argv], cwd=ROOT, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
 def write(tmp_path, text, name="problem.txt"):
@@ -383,6 +394,38 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, where):
     # exit 1 means a violated condition, so an output that cannot be written is 2
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {output}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # the whole output fits in a pipe, so the reader leaves before the first line
+        (["check", "--config", "configs/zero.txt"], 0),
+        (["norms"], 0),
+        (["solve", "--config", "configs/f1.txt", "--n", "100000"], 1),
+    ],
+)
+def test_closed_stdout_pipe_exits_2(argv, lines):
+    # as `dirbvp ... | head -n 1`; exit 1 would read as a violated condition
+    with _dirbvp(argv) as child:
+        for _ in range(lines):
+            assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read().decode()
+    assert child.returncode == 2
+    assert err.startswith("error: cannot write standard output: ")
+    assert "Traceback" not in err
+
+
+def test_norms_does_not_depend_on_the_blas_thread_count():
+    # BLAS ddot's last bit changes with OpenBLAS's thread count at this size
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    outputs = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        with _dirbvp(["norms", "--n", "100000"], {**env, **threads}) as child:
+            outputs.append(child.communicate())
+        assert child.returncode == 0
+    assert outputs[0] == outputs[1]
 
 
 def test_converge_deterministic_bytes(tmp_path):

@@ -1,12 +1,18 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirbvp import corpus
+from dirbvp import problem as problem_module
 from dirbvp.convergence import ManufacturedProblem, manufacture
-from dirbvp.expr import EvalError, evaluate, parse
+from dirbvp.expr import BinOp, Call, EvalError, Neg, Num, Var, evaluate, parse
 from dirbvp.problem import (
+    _BLOCK_ROWS,
+    _WITNESS_CAP,
     ConditionReport,
     ProblemSpec,
     apriori_bound,
@@ -182,6 +188,144 @@ def test_check_witnesses_and_count_match_full_box(f, A, B, fx_lower, condition, 
     assert report.violation_count == count
     assert report.witnesses == witnesses
     assert report.violated and report.condition == condition
+
+
+def _reference_scan(condition, expr, t_grid, x_grid, rhs, violates) -> ConditionReport:
+    """The scan that evaluates every condition on the whole t-by-x block."""
+    count = 0
+    witnesses = []
+    for start in range(0, t_grid.size, _BLOCK_ROWS):
+        t_block = t_grid[start : start + _BLOCK_ROWS]
+        try:
+            lhs = evaluate(expr, t_block[:, None], x_grid[None, :])
+        except EvalError as exc:
+            problem_module._locate_failure(expr, t_grid[start:], x_grid, exc)
+        bad = violates(lhs)
+        found = int(np.count_nonzero(bad))
+        if found and len(witnesses) < _WITNESS_CAP:
+            rows, cols = np.nonzero(bad)
+            for i, j in zip(rows[: _WITNESS_CAP - len(witnesses)], cols):
+                witnesses.append(
+                    (float(t_block[i]), float(x_grid[j]), float(lhs[i, j]), float(rhs[j]))
+                )
+        count += found
+    return ConditionReport(
+        condition=condition,
+        verdict="violated" if count else "no-violation-found",
+        witnesses=tuple(witnesses),
+        violation_count=count,
+        samples_t=t_grid.size,
+        samples_x=x_grid.size,
+    )
+
+
+def _report_bits(check, spec, **box):
+    """A report with its witnesses spelled bit for bit, or the message of its EvalError."""
+    try:
+        report = check(spec, **box)
+    except EvalError as exc:
+        return str(exc)
+    witnesses = tuple(tuple(value.hex() for value in w) for w in report.witnesses)
+    return (report.condition, report.verdict, report.violation_count, witnesses,
+            report.samples_t, report.samples_x)
+
+
+def _assert_scan_matches_reference(spec, **box):
+    for check in (check_growth, check_fx_lower):
+        got = _report_bits(check, spec, **box)
+        with mock.patch.object(problem_module, "_scan", _reference_scan):
+            want = _report_bits(check, spec, **box)
+        assert got == want, check.__name__
+
+
+def _trees_over(names):
+    """Trees of the shapes test_expr draws whose variables are among ``names``."""
+    variables = [st.sampled_from([Var(name) for name in names])] * 2 if names else []
+    leaves = st.one_of(st.floats(-3.0, 3.0).map(Num), st.just(Num(0.0)), *variables)
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+            st.builds(BinOp, st.just("^"), sub,
+                      st.sampled_from([-2.0, -1.0, 0.5, 2.0, 3.0]).map(Num)),
+            st.builds(Call, st.sampled_from(["sin", "cos", "exp", "atan", "sqrt", "abs"]), sub),
+            st.builds(Neg, sub),
+        ),
+        max_leaves=8,
+    )
+
+
+def _trees_using(names):
+    """Trees that use exactly the variables ``names``."""
+    trees = _trees_over(names)
+    for name in names:
+        op = st.sampled_from("+-*/")
+        trees = (st.builds(BinOp, op, trees, st.just(Var(name)))
+                 | st.builds(BinOp, op, st.just(Var(name)), trees))
+    return trees
+
+
+_GROWTH_A = 0.25
+
+
+def _bound_below(values, level):
+    """A bound that ``values`` exceed nowhere, at a few points, or everywhere."""
+    if level == "none":
+        return values.max()
+    if level == "sparse":
+        return np.nextafter(np.quantile(values, 0.997, method="higher"), -np.inf)
+    return np.nextafter(values.min(), -np.inf)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    expr=st.sampled_from([(), ("t",), ("x",), ("t", "x")]).flatmap(_trees_using),
+    level=st.sampled_from(["none", "sparse", "dense"]),
+    samples_t=st.sampled_from([2, 33, 70]),
+    samples_x=st.sampled_from([2, 7, 101]),
+)
+def test_scan_along_used_axes_matches_full_box_scan(expr, level, samples_t, samples_x):
+    t_grid = np.linspace(0.0, 1.0, samples_t)
+    x_grid = np.linspace(-2.0, 2.0, samples_x)
+    try:
+        lhs = evaluate(expr, t_grid[:, None], x_grid[None, :])
+    except EvalError:
+        lhs = np.zeros(1)  # both scans raise; the bounds do not matter
+    # growth fails where |lhs| - A|x| > B, fx_lower where -lhs > -fx_lower
+    spec = problem_module.ProblemSpec(
+        f=expr, fx=expr, v=Num(0.0), declared_A=_GROWTH_A,
+        declared_B=float(_bound_below(np.abs(lhs) - _GROWTH_A * np.abs(x_grid), level)),
+        declared_fx_lower=-float(_bound_below(-lhs, level)),
+    )
+    _assert_scan_matches_reference(spec, x_range=2.0, samples_t=samples_t, samples_x=samples_x)
+
+
+@pytest.mark.parametrize(
+    "f, v, A, B, fx_lower, x_range",
+    [
+        ("sqrt(x)", "1", 0.5, 0.5, -10.0, 6.0),  # fails at the first sample, x = -x_range
+        ("x/4 + sin(7*t)", "1", 0.5, 1.5, 0.3, 6.0),  # constant f_x below its bound
+        ("x/4 + 1/(t - 0.5)", "1", 0.5, 0.5, -10.0, 6.0),  # the pole at t = 0.5
+        ("x^3/100", "1", 0.01, 0.01, -10.0, 2.0404),
+        ("0.7", "t", 0.5, 0.5, -10.0, 6.0),
+        ("x*t - 2*t", "1", 0.5, 0.5, 0.2, 6.0),
+        # x only, two violations a row, at x = -1 and 1: the witnesses fill rows 0 to 4
+        ("x^2", "0", 1e-3, 0.9985, -10.0, 1.0),
+    ],
+)
+def test_scan_along_used_axes_matches_full_box_scan_on_edge_configs(f, v, A, B, fx_lower, x_range):
+    spec = make_spec(f, v, A=A, B=B, fx_lower=fx_lower)
+    _assert_scan_matches_reference(spec, x_range=x_range)
+
+
+def test_witnesses_of_an_x_only_condition_continue_past_the_first_row():
+    spec = make_spec("x^2", "0", A=1e-3, B=0.9985, fx_lower=-10.0)
+    report = check_growth(spec, x_range=1.0)
+    assert report.violation_count == 2 * 201
+    t_grid = np.linspace(0.0, 1.0, 201)
+    assert [(t, x) for t, x, _, _ in report.witnesses] == [
+        (t, x) for t in t_grid[:5] for x in (-1.0, 1.0)
+    ]
 
 
 def _first_failure(failing, samples_t, x_range, samples_x=2001):
