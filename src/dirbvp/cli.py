@@ -7,7 +7,8 @@ uses '.' decimals at full round-trip precision, so identical inputs
 produce byte-identical files.
 
 Exit codes: 0 success, 1 a checked condition is violated, 2 solver or
-configuration failure, or an output file that cannot be written.
+configuration failure (an expression nested too deeply and a sample box
+that overflows among them), or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -354,6 +355,11 @@ def main(argv=None) -> int:
         return code
     except (ConfigError, ParseError, EvalError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except RecursionError:
+        # parsing, differentiating and compiling recurse along a config's
+        # expression trees, as x+x+...+x or ((...(x)...)) nests them
+        sys.stderr.write("error: expression nested too deeply\n")
         return 2
     except BrokenPipeError as exc:
         # The reader closed stdout early, as `| head` does.  What is left in

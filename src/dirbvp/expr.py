@@ -15,10 +15,16 @@ rule of differentiation applies verbatim.  Derivative trees omit the
 terms the rules make identically zero and the factors of one, and are not
 otherwise simplified; expression equality is a matter of evaluation, not
 of normal form.
+
+A tree is evaluated by a program of numpy steps, made on its first
+evaluation by one walk over it that numbers each value: t, x, a constant
+by its bits, and an operation by its function and operand numbers.  An
+operation runs once per evaluation however often the tree holds it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -66,56 +72,23 @@ class NonDifferentiableError(ExprError):
     """Raised when a derivative of a non-smooth node is requested."""
 
 
-class _computed_once:
-    """An attribute computed on first use and then kept in the instance dict.
-
-    It writes the dict past a frozen dataclass's __setattr__, as
-    functools.cached_property does, without taking a lock; dataclass
-    equality, hashing and repr read the fields only.
-    """
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
-
-
 class _Node:
-    """Base of the tree nodes: holds each node's compiled forms once built."""
+    """Base of the tree nodes: a tree's root keeps its program once built."""
 
-    @_computed_once
-    def _kernel(self):
-        # what this node computes, folded; shared by every tree holding it
-        return _compile(self)
-
-    @_computed_once
+    @functools.cached_property
     def _program(self):
         # the steps that evaluate the tree rooted here
-        return _Program(self._kernel)
+        return _Program(self)
 
 
 @dataclass(frozen=True)
 class Num(_Node):
     value: float
 
-    @property
-    def _kernel(self):
-        # a leaf is not worth keeping compiled
-        return np.float64(self.value)
-
 
 @dataclass(frozen=True)
 class Var(_Node):
     name: str  # "t" or "x"
-
-    @property
-    def _kernel(self):
-        return _T if self.name == "t" else _X
 
 
 @dataclass(frozen=True)
@@ -230,14 +203,13 @@ class _Parser:
             exponent = self.unary()
             if uses_var(exponent, "t") or uses_var(exponent, "x"):
                 raise ParseError("exponent must be a constant expression", pos)
+            if isinstance(exponent, Num):
+                return BinOp("^", base, exponent)
             try:
-                # a constant tree compiles to its value, unless computing it traps
-                value = exponent._kernel
-                if type(value) is not np.float64:
-                    value = evaluate(exponent)
+                value = evaluate(exponent)
             except EvalError as exc:
                 raise ParseError(f"cannot evaluate constant exponent: {exc}", pos) from exc
-            return BinOp("^", base, Num(float(value)))
+            return BinOp("^", base, Num(value))
         return base
 
     def atom(self) -> Expr:
@@ -331,157 +303,144 @@ _CALLS = {
     "abs": np.abs,
 }
 
-# A kernel is what a node computes once folded: a constant, as np.float64,
-# or a pair (function, operand kernels).  The variables are the pairs _T
-# and _X, which have no function.
-_T = (None, "t")
-_X = (None, "x")
-
-
-def _fold(function, args):
-    """The kernel of ``function`` on the kernels ``args``.
-
-    It is the value when every operand is a constant and computing it
-    traps nothing; otherwise an op, which raises at evaluation where
-    computing it raised here.
-    """
-    for arg in args:
-        if type(arg) is not np.float64:
-            break
-    else:
-        env = [*args, None]
-        try:
-            _execute(((function, 0, 1 if len(args) == 2 else None, len(args)),), env)
-        except EvalError:
-            pass
-        else:
-            if type(env[-1]) is np.float64:
-                return env[-1]
-    return (function, args)
-
-
-def _compile(node: Expr):
-    """The kernel of ``node``.
-
-    Only folds that keep every bit and every trap are made: an operation on
-    constants becomes its value unless computing it traps, and y*1.0,
-    1.0*y, y/1.0 and y-(+0.0) become y, as y^1.0 is.  0.0*y, y+0.0, 0.0+y
-    and 0.0-y stay, for the sign of zero and the traps of y.  A malformed
-    tree (an unknown operator or a variable exponent) raises EvalError
-    here, before any arithmetic.
-    """
-    if isinstance(node, BinOp):
-        op = node.op
-        left = node.left._kernel
-        if op == "^":
-            if not isinstance(node.right, Num):
-                raise EvalError("exponent must be a constant")
-            return _power(left, node.right.value)
-        right = node.right._kernel
-        if op not in _BINARY:
-            raise EvalError(f"unknown operator {op!r}")
-        if type(right) is np.float64 and (
-            right == 1.0 and (op == "*" or op == "/")
-            or right == 0.0 and op == "-" and math.copysign(1.0, right) == 1.0
-        ):
-            return left
-        if type(left) is np.float64 and left == 1.0 and op == "*":
-            return right
-        return _fold(_BINARY[op], (left, right))
-    if isinstance(node, Call):
-        return _fold(_CALLS[node.fn], (node.arg._kernel,))
-    if isinstance(node, Neg):
-        return _fold(operator.neg, (node.arg._kernel,))
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _power(base, c):
-    # The kernel of base^c.  An integer c != 0 is binary powering (Knuth, TAOCP
-    # vol. 2, 4.6.3) of base, or of 1/base after the zero-base check when c < 0,
-    # as np.square and products; product * square is bitwise square * product
-    # and makes a walk run the steps in this loop's order.  Else np.power.
-    if c != round(c):
-        return _fold(_real_power, (base, np.float64(c)))
-    if c == 0:
-        return _fold(np.power, (base, np.float64(c)))
-    if c < 0:
-        base = _fold(_reciprocal, (base,))
-    k = int(abs(c))
-    product = None
-    while True:
-        if k & 1:
-            product = base if product is None else _fold(operator.mul, (product, base))
-        k >>= 1
-        if not k:
-            return product
-        base = _fold(np.square, (base,))
-
 
 class _Program:
-    """The steps of one compiled tree, in the order of a walk over it.
+    """The steps that evaluate one tree, in the order of a walk over it.
 
-    Each distinct op runs once per evaluation, at its first place in the
-    walk, so values and errors are those of the walk.  Values live in a
-    list: t, x, the constants, then the results.  A result holds its slot
-    from its op to its last user, and other results use the slot outside
-    that span.
+    One pass over the tree numbers its values (Cocke and Schwartz, 1970):
+    t is 0 and x is 1, a constant is numbered by its bits, and an
+    operation by its function and operand numbers.  An operation runs
+    once per evaluation, at the first place in the walk where its number
+    is made, so equal subtrees run once and values and errors are those of
+    the walk.  Only folds that keep every bit and every trap are made: an
+    operation on constants becomes its value unless computing it traps,
+    and y*1.0, 1.0*y, y/1.0, y-(+0.0) and y^1.0 become y.  0.0*y, y+0.0,
+    0.0+y and 0.0-y stay, for the sign of zero and the traps of y.  A
+    malformed tree (an unknown operator or a variable exponent) raises
+    EvalError here, before any arithmetic.
+
+    Values live in a list: t, x, the result, then the constants and the
+    other results.  A result holds its slot from its operation to its
+    last user, and other results use the slot outside that span.
     """
 
     def __init__(self, root):
-        template = [None, None]
-        slots = {id(_T): 0, id(_X): 1}
-        order = []
+        # by number: None for t and x, a constant (np.float64), or an
+        # operation (function, a, b) on the numbers a and b, b None if unary
+        values = [None, None]
+        numbers = {}  # a constant's bits, or an operation -> its number
+        walked = {}  # id(node) -> number, so that a shared node is walked once
 
-        if type(root) is np.float64:
-            slots[id(root)] = len(template)
-            template.append(root)
-        elif root[0] is not None:
-            # A walk with a stack of (op, its operands not yet seen): a chain
-            # of powers nests ops deeper than Python's recursion limit.
-            stack = [(root, iter(root[1]))]
-            while stack:
-                op, args = stack[-1]
-                for arg in args:
-                    key = id(arg)
-                    if key in slots:
-                        continue
-                    if type(arg) is np.float64:
-                        slots[key] = len(template)
-                        template.append(arg)
-                    else:
-                        stack.append((arg, iter(arg[1])))
-                        break
+        def number(value):
+            # value's number: a constant is keyed by its bits, so -0.0 is not 0.0
+            key = value.hex() if type(value) is np.float64 else value
+            n = numbers.get(key)
+            if n is None:
+                n = numbers[key] = len(values)
+                values.append(value)
+            return n
+
+        def operation(function, a, b=None):
+            if type(values[a]) is np.float64 and (b is None or type(values[b]) is np.float64):
+                env = [values[a], None if b is None else values[b], None]
+                try:
+                    _execute(((function, 0, None if b is None else 1, 2),), env)
+                except EvalError:
+                    pass
                 else:
-                    stack.pop()
-                    slots[id(op)] = None  # visited; its slot is chosen below
-                    order.append(op)
-            slots[id(root)] = len(template)
-            template.append(None)
-        # Backwards from the last op: a result takes a slot at its last user
-        # and gives it up at its own op, to the ops before.
-        free = []
-        steps = []
-        for op in reversed(order):
-            function, args = op
-            out = slots[id(op)]
-            free.append(out)
-            inputs = []
-            for arg in args:
-                key = id(arg)
-                slot = slots[key]
-                if slot is None:
-                    if free:
-                        slot = free.pop()
+                    if type(env[2]) is np.float64:
+                        return number(env[2])
+            return number((function, a, b))
+
+        def power(base, c):
+            # base^c.  An integer c != 0 is binary powering (Knuth, TAOCP vol.
+            # 2, 4.6.3) of base, or of 1/base after the zero-base check when
+            # c < 0, as squares and products, low bits first; else np.power.
+            if c != round(c):
+                return operation(_real_power, base, number(np.float64(c)))
+            if c == 0:
+                return operation(np.power, base, number(np.float64(c)))
+            if c < 0:
+                base = operation(_reciprocal, base)
+            k = int(abs(c))
+            product = None
+            while True:
+                if k & 1:
+                    product = base if product is None else operation(operator.mul, product, base)
+                k >>= 1
+                if not k:
+                    return product
+                base = operation(np.square, base)
+
+        def walk(node):
+            if isinstance(node, Var):
+                return 0 if node.name == "t" else 1
+            if isinstance(node, Num):
+                return number(np.float64(node.value))
+            n = walked.get(id(node))
+            if n is not None:
+                return n
+            if isinstance(node, BinOp):
+                op = node.op
+                left = walk(node.left)
+                if op == "^":
+                    if not isinstance(node.right, Num):
+                        raise EvalError("exponent must be a constant")
+                    n = power(left, node.right.value)
+                else:
+                    right = walk(node.right)
+                    if op not in _BINARY:
+                        raise EvalError(f"unknown operator {op!r}")
+                    a, b = values[left], values[right]
+                    if type(b) is np.float64 and (
+                        b == 1.0 and (op == "*" or op == "/")
+                        or b == 0.0 and op == "-" and math.copysign(1.0, b) == 1.0
+                    ):
+                        n = left
+                    elif type(a) is np.float64 and a == 1.0 and op == "*":
+                        n = right
                     else:
-                        slot = len(template)
-                        template.append(None)
-                    slots[key] = slot
-                inputs.append(slot)
-            steps.append((function, inputs[0], inputs[1] if len(inputs) == 2 else None, out))
+                        n = operation(_BINARY[op], left, right)
+            elif isinstance(node, Call):
+                n = operation(_CALLS[node.fn], walk(node.arg))
+            elif isinstance(node, Neg):
+                n = operation(operator.neg, walk(node.arg))
+            else:
+                raise TypeError(f"unknown node {node!r}")
+            walked[id(node)] = n
+            return n
+
+        result = walk(root)
+        template = [None, None]
+        slots = {0: 0, 1: 1}
+        free = []
+
+        def slot(n):
+            # n's slot, chosen at its last use: a freed one for a result
+            # when there is one, else a new one
+            if n not in slots:
+                value = values[n]
+                if type(value) is tuple and free:
+                    slots[n] = free.pop()
+                else:
+                    slots[n] = len(template)
+                    template.append(value if type(value) is np.float64 else None)
+            return slots[n]
+
+        self.result = slot(result)
+        # Backwards from the last operation: a result takes a slot at its
+        # last use and gives it up at its own operation, to those before.
+        steps = []
+        for n in range(len(values) - 1, 1, -1):
+            if type(values[n]) is tuple:
+                function, a, b = values[n]
+                out = slots[n]
+                free.append(out)
+                i = slot(a)
+                steps.append((function, i, None if b is None else slot(b), out))
         steps.reverse()
         self.template = template
         self.steps = steps
-        self.result = slots[id(root)]
 
 
 def _run(program, t, x, shape):

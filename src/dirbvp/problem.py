@@ -123,6 +123,9 @@ def _locate_failure(expr: Expr, t_grid: np.ndarray, x_grid: np.ndarray, cause: E
 def _sample_grids(x_range: float, samples_t: int, samples_x: int):
     if x_range <= 0.0:
         raise ValueError("x_range must be positive")
+    # the grid spans 2*x_range, which must be a float too
+    if not math.isfinite(2.0 * float(x_range)):
+        raise ValueError(f"x_range must be finite and 2*x_range must not overflow, got {x_range!r}")
     if samples_t < 2 or samples_x < 2:
         raise ValueError("need at least two samples per axis")
     t_grid = np.linspace(0.0, 1.0, samples_t)

@@ -417,6 +417,35 @@ def test_closed_stdout_pipe_exits_2(argv, lines):
     assert "Traceback" not in err
 
 
+_MALFORMED = {
+    # a left-deep sum: differentiating and compiling it recurse 3000 deep
+    "long sum": "f = " + "+".join(["x"] * 3000) + "\nv = 1\nA = 0.5\nB = 1\nfx_lower = -2\nN = 8\n",
+    # the parser recurses through every parenthesis
+    "nested parentheses": "f = " + "(" * 300 + "x/4" + ")" * 300
+    + "\nv = 1\nA = 0.5\nB = 1\nfx_lower = -2\nN = 8\n",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("shape", sorted(_MALFORMED))
+def test_deep_expression_exits_2(tmp_path, command, shape):
+    path = write(tmp_path, _MALFORMED[shape])
+    with _dirbvp([command, "--config", str(path)], {**os.environ, "PYTHONWARNINGS": "error"}) as child:
+        out, err = child.communicate()
+    assert child.returncode == 2
+    assert out == b"" and err == b"error: expression nested too deeply\n"
+
+
+def test_check_on_an_overflowing_sample_box_exits_2(tmp_path):
+    # M = (1 + 1e308)/(1 - 0.5) is inf, so there is no sample box to scan
+    path = write(tmp_path, "f = x/4\nv = 1\nA = 0.5\nB = 1e308\nfx_lower = -0.5\n")
+    with _dirbvp(["check", "--config", str(path)], {**os.environ, "PYTHONWARNINGS": "error"}) as child:
+        out, err = child.communicate()
+    assert child.returncode == 2
+    assert out == b""
+    assert err == b"error: x_range must be finite and 2*x_range must not overflow, got inf\n"
+
+
 def test_norms_does_not_depend_on_the_blas_thread_count():
     # BLAS ddot's last bit changes with OpenBLAS's thread count at this size
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}

@@ -669,9 +669,9 @@ def test_evaluate_compiles_a_tree_on_first_use():
     # parse evaluates each constant exponent, a tree no one evaluated before
     tree = parse("x^(3 - 1/2)")
     assert tree == BinOp("^", Var("x"), Num(2.5))
-    assert "_kernel" not in vars(tree)
+    assert "_program" not in vars(tree)
     assert evaluate(tree, 0.0, 4.0) == 32.0
-    assert "_kernel" in vars(tree)
+    assert "_program" in vars(tree) and "_program" not in vars(tree.left)
     assert tree == BinOp("^", Var("x"), Num(2.5)) and hash(tree) == hash(BinOp("^", Var("x"), Num(2.5)))
     assert repr(tree) == "BinOp(op='^', left=Var(name='x'), right=Num(value=2.5))"
 
@@ -837,6 +837,43 @@ def test_shared_subtree_runs_once_per_evaluation():
     assert len(fx._program.steps) == 17 - 3 - 1
     u = parse("2*x^2 + 4")
     assert len(BinOp("/", u, BinOp("^", u, Num(2.0)))._program.steps) == 3 + 2
+
+
+def test_equal_subtrees_run_once_per_evaluation():
+    # two x^2 nodes built apart are one value: one square, then the sum
+    tree = parse("x^2 + x^2")
+    assert tree.left is not tree.right
+    assert [function for function, *_ in tree._program.steps] == [np.square, operator.add]
+    assert evaluate(tree, 0.0, 3.0) == 18.0
+
+
+def test_constants_are_equal_only_bit_for_bit():
+    # 0.0 == -0.0, but x*0.0 and x*(-0.0) differ at x = -1: two products
+    tree = parse("x*0.0 + x*(-0.0)")
+    assert len(tree._program.steps) == 3
+    got = evaluate(tree, 0.0, -1.0)
+    expected = _walk_evaluate(tree, 0.0, -1.0)
+    assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+    assert math.copysign(1.0, got) == 1.0  # -0.0 + 0.0
+
+
+# The step counts of f, f_x and v of each corpus problem
+_CORPUS_STEPS = {
+    "quadratic": (0, 0, 0),
+    "zero": (2, 3, 0),
+    "f1": (6, 13, 0),
+    "f1_sin": (6, 13, 12),
+    "f2": (7, 6, 0),
+    "f3": (12, 16, 0),
+}
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_corpus_program_sizes(name):
+    problem = corpus.build(name)
+    spec = getattr(problem, "spec", problem)
+    steps = tuple(len(tree._program.steps) for tree in (spec.f, spec.fx, spec.v))
+    assert steps == _CORPUS_STEPS[name]
 
 
 # The derivative by the full rules, which build every zero term and every
@@ -1007,8 +1044,9 @@ def test_binding_runs_every_step_per_call(monkeypatch):
     bound = bind(tree, t)
     for k in range(4):
         np.testing.assert_array_equal(bound(np.full(5, float(k))), evaluate(tree, t, np.full(5, float(k))))
-    # a bound call and evaluate each run all three sin
-    assert len(calls) == 4 * 3 + 4 * 3
+    # a bound call and evaluate each run every step: sin(t), which the two
+    # equal nodes share, and sin(x)
+    assert len(calls) == 4 * 2 + 4 * 2
 
 
 def test_binding_keeps_no_arrays_between_calls():

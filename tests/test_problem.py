@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -135,6 +136,15 @@ def test_check_fx_lower_violated_everywhere():
 def test_check_fx_lower_zero_function():
     spec = make_spec("0", "0", A=0.3, B=0.2, fx_lower=-0.5)
     assert not check_fx_lower(spec, x_range=10.0).violated
+
+
+@pytest.mark.parametrize("x_range", [math.inf, math.nan, 1e308])
+@pytest.mark.parametrize("check", [check_growth, check_fx_lower])
+def test_check_rejects_a_sample_box_that_is_not_finite(check, x_range):
+    # 2*x_range, the width of the x grid, overflows for 1e308
+    spec = make_spec("x/4", "1", A=0.5, B=1.0, fx_lower=-0.5)
+    with pytest.raises(ValueError, match="x_range must be finite"):
+        check(spec, x_range=x_range)
 
 
 def test_check_reports_eval_failure_with_location():
