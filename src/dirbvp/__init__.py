@@ -32,6 +32,7 @@ from .expr import (
     EvalError,
     Expr,
     ExprError,
+    NestingError,
     NonDifferentiableError,
     ParseError,
     diff,

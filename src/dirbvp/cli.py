@@ -8,7 +8,8 @@ produce byte-identical files.
 
 Exit codes: 0 success, 1 a checked condition is violated, 2 solver or
 configuration failure (an expression nested too deeply and a sample box
-that overflows among them), or an output that cannot be written.
+that overflows among them), an output that cannot be written, or a grid
+too large for the memory left.
 """
 
 from __future__ import annotations
@@ -182,17 +183,19 @@ def _report_dict(report) -> dict:
     }
 
 
-def _run_check(config: ProblemConfig, problem, output) -> int:
-    spec = _spec_of(problem)
-
+def _sample_range(spec: ProblemSpec) -> float:
+    """The half-width in x of the box that ``check`` samples."""
     t_grid = np.linspace(0.0, 1.0, 1001)
     v_sup = float(np.max(np.abs(evaluate(spec.v, t_grid, 0.0))))
     # Solutions live in [-M, M]; sample twice that box when M exists.
     if spec.declared_A < 1.0:
-        x_range = 2.0 * apriori_bound(spec, v_sup)
-    else:
-        x_range = 10.0
+        return 2.0 * apriori_bound(spec, v_sup)
+    return 10.0
 
+
+def _run_check(config: ProblemConfig, problem, output) -> int:
+    spec = _spec_of(problem)
+    x_range = _sample_range(spec)
     growth = check_growth(spec, x_range)
     fx_low = check_fx_lower(spec, x_range)
     flags = classify(spec)
@@ -330,6 +333,15 @@ def run(command: str, config: ProblemConfig | None, output=None, seed: int = 0,
     return _run_converge(config, problem, output)
 
 
+def _grid_sizes(command: str, config: ProblemConfig | None, n: int | None) -> str:
+    """' at N = ...' or ' at Ns = ...', the grid sizes ``command`` ran at, or ''."""
+    if command == "converge" and config is not None and config.ns:
+        return " at Ns = " + ",".join(map(str, config.ns))
+    if n is None and config is not None:
+        n = config.n
+    return "" if n is None else f" at N = {n}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dirbvp",
@@ -356,10 +368,9 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, EvalError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except RecursionError:
-        # parsing, differentiating and compiling recurse along a config's
-        # expression trees, as x+x+...+x or ((...(x)...)) nests them
-        sys.stderr.write("error: expression nested too deeply\n")
+    except MemoryError:
+        # numpy's, for an array larger than the memory left, as at N = 10^9
+        sys.stderr.write(f"error: out of memory{_grid_sizes(args.command, config, args.n)}\n")
         return 2
     except BrokenPipeError as exc:
         # The reader closed stdout early, as `| head` does.  What is left in

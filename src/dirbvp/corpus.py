@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convergence import ManufacturedProblem, manufacture
-from .expr import ExprError, ParseError
+from .expr import ExprError, NestingError, ParseError
 from .problem import ProblemSpec, as_expr, make_spec
 from .solver import SolverConfig
 
@@ -50,7 +50,8 @@ def build_problem(config: ProblemConfig) -> ProblemSpec | ManufacturedProblem:
     """Turn a config into a solvable problem, deriving v when x_star is given.
 
     Every failure to build, a non-differentiable f or x_star included, is
-    a ``ConfigError``; a syntax error names the field it is in.
+    a ``ConfigError``, and a syntax error names the field it is in; an
+    expression nested too deeply raises ``NestingError`` as it is.
     """
     trees = {}
     for key in ("f", "v", "x_star"):
@@ -65,6 +66,8 @@ def build_problem(config: ProblemConfig) -> ProblemSpec | ManufacturedProblem:
         if config.x_star is not None:
             return manufacture(trees["f"], trees["x_star"], **constants)
         return make_spec(trees["f"], trees["v"], **constants)
+    except NestingError:
+        raise  # no one field's fault, so as the walk raised it
     except (ExprError, ValueError) as exc:
         raise ConfigError(f"config {config.name!r}: {exc}")
 

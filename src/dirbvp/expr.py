@@ -44,6 +44,7 @@ __all__ = [
     "ParseError",
     "EvalError",
     "NonDifferentiableError",
+    "NestingError",
     "parse",
     "evaluate",
     "bind",
@@ -70,6 +71,22 @@ class EvalError(ExprError):
 
 class NonDifferentiableError(ExprError):
     """Raised when a derivative of a non-smooth node is requested."""
+
+
+class NestingError(EvalError):
+    """Raised when an expression is nested deeper than the walks over it can recurse."""
+
+
+def _walk(walker, *args):
+    """``walker(*args)``, where a walk past Python's recursion limit raises NestingError.
+
+    parse, diff, substitute, uses_var, format_expr and the compiler recurse
+    once per level of a tree, as ``x+x+...+x`` or ``((...(x)...))`` nests it.
+    """
+    try:
+        return walker(*args)
+    except RecursionError:
+        raise NestingError("expression nested too deeply") from None
 
 
 class _Node:
@@ -243,7 +260,7 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree."""
-    return _Parser(text).parse()
+    return _walk(_Parser(text).parse)
 
 
 def _operand(value):
@@ -410,7 +427,7 @@ class _Program:
             walked[id(node)] = n
             return n
 
-        result = walk(root)
+        result = _walk(walk, root)
         template = [None, None]
         slots = {0: 0, 1: 1}
         free = []
@@ -505,6 +522,71 @@ def bind(expr: Expr, t) -> Callable[[np.ndarray], np.ndarray]:
     return bound
 
 
+def _split(program):
+    """``program``'s steps split by the variables each reads, for a scan of a box.
+
+    Returns (once, each, uses, result).  ``once`` holds, in program order,
+    the steps that read t alone, x alone or neither, each renumbered to
+    write a slot of its own past the program's, which no step reuses;
+    ``each`` holds the steps that read both, in program order and in the
+    program's slots.  uses[k] is what the value in slot k depends on, 1
+    for t, 2 for x, 3 for both and 0 for neither, and ``result`` is the
+    result's slot.
+    """
+    uses = [0] * len(program.template)
+    uses[0], uses[1] = 1, 2
+    where = list(range(len(uses)))  # a program slot -> the slot of its value now
+    once, each = [], []
+    for function, i, j, k in program.steps:
+        i, j = where[i], None if j is None else where[j]
+        depends = uses[i] | (0 if j is None else uses[j])
+        if depends == 3:
+            where[k] = k
+            uses[k] = 3
+            each.append((function, i, j, k))
+        else:
+            where[k] = len(uses)
+            uses.append(depends)
+            once.append((function, i, j, where[k]))
+    return once, each, uses, where[program.result]
+
+
+def _blocks(expr: Expr, t: np.ndarray, x: np.ndarray):
+    """``expr`` on the box t[:, None] by x[None, :] of finite 1-d grids, by row blocks.
+
+    Returns (uses_t, block): whether the result depends on t, and a
+    function that gives the result on rows start:stop of the box, stop at
+    most t.size.  block(start, stop) is a fresh array of stop - start rows,
+    or of one row where the result does not use t, and of x.size columns,
+    or of one where it does not use x.  The steps on t alone run here,
+    once, on the whole column t[:, None], and those on x alone once, on
+    the row x[None, :]; each block runs only the steps on both, on rows
+    start:stop of the t-only values.  So values and errors are evaluate's,
+    but an error of a step on one variable is raised here, whatever its
+    row.  Nothing is kept on the tree.
+    """
+    program = expr._program
+    once, each, uses, result = _split(program)
+    env = program.template + [None] * (len(uses) - len(program.template))
+    env[0] = t[:, None]
+    env[1] = x[None, :]
+    _execute(once, env)
+    columns = [(k, env[k]) for k, depends in enumerate(uses) if depends == 1]
+    depends = uses[result]
+
+    def block(start: int, stop: int) -> np.ndarray:
+        for k, column in columns:
+            env[k] = column[start:stop]
+        _execute(each, env)
+        if depends == 3:
+            return env[result]  # a step's fresh result, of the block's shape
+        out = np.empty((stop - start if depends & 1 else 1, x.size if depends & 2 else 1))
+        np.copyto(out, env[result])  # t, x, a constant or a t-only column is not the caller's
+        return out
+
+    return bool(depends & 1), block
+
+
 def diff(expr: Expr, var: str) -> Expr:
     """Exact symbolic partial derivative of ``expr`` with respect to ``var``.
 
@@ -522,7 +604,7 @@ def diff(expr: Expr, var: str) -> Expr:
     """
     if var not in ("t", "x"):
         raise ValueError(f"var must be 't' or 'x', got {var!r}")
-    return _diff(expr, var)
+    return _walk(_diff, expr, var)
 
 
 def _is(node: Expr, value: float) -> bool:
@@ -604,46 +686,58 @@ def _diff(node: Expr, var: str) -> Expr:
 
 def substitute(expr: Expr, var: str, replacement: Expr) -> Expr:
     """Replace every occurrence of variable ``var`` by ``replacement``."""
+    return _walk(_substitute, expr, var, replacement)
+
+
+def _substitute(expr: Expr, var: str, replacement: Expr) -> Expr:
     if isinstance(expr, Num):
         return expr
     if isinstance(expr, Var):
         return replacement if expr.name == var else expr
     if isinstance(expr, Neg):
-        return Neg(substitute(expr.arg, var, replacement))
+        return Neg(_substitute(expr.arg, var, replacement))
     if isinstance(expr, BinOp):
         return BinOp(
             expr.op,
-            substitute(expr.left, var, replacement),
-            substitute(expr.right, var, replacement),
+            _substitute(expr.left, var, replacement),
+            _substitute(expr.right, var, replacement),
         )
     if isinstance(expr, Call):
-        return Call(expr.fn, substitute(expr.arg, var, replacement))
+        return Call(expr.fn, _substitute(expr.arg, var, replacement))
     raise TypeError(f"unknown node {expr!r}")
 
 
 def uses_var(expr: Expr, var: str) -> bool:
     """True if variable ``var`` occurs anywhere in the tree."""
+    return _walk(_uses_var, expr, var)
+
+
+def _uses_var(expr: Expr, var: str) -> bool:
     if isinstance(expr, Var):
         return expr.name == var
     if isinstance(expr, Neg):
-        return uses_var(expr.arg, var)
+        return _uses_var(expr.arg, var)
     if isinstance(expr, BinOp):
-        return uses_var(expr.left, var) or uses_var(expr.right, var)
+        return _uses_var(expr.left, var) or _uses_var(expr.right, var)
     if isinstance(expr, Call):
-        return uses_var(expr.arg, var)
+        return _uses_var(expr.arg, var)
     return False
 
 
 def format_expr(expr: Expr) -> str:
     """Render a tree back to parseable text (fully parenthesized)."""
+    return _walk(_format, expr)
+
+
+def _format(expr: Expr) -> str:
     if isinstance(expr, Num):
         return repr(expr.value)
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Neg):
-        return f"(-{format_expr(expr.arg)})"
+        return f"(-{_format(expr.arg)})"
     if isinstance(expr, BinOp):
-        return f"({format_expr(expr.left)} {expr.op} {format_expr(expr.right)})"
+        return f"({_format(expr.left)} {expr.op} {_format(expr.right)})"
     if isinstance(expr, Call):
-        return f"{expr.fn}({format_expr(expr.arg)})"
+        return f"{expr.fn}({_format(expr.arg)})"
     raise TypeError(f"unknown node {expr!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalError, Expr, diff, evaluate, parse, uses_var
+from .expr import EvalError, Expr, _blocks, diff, evaluate, parse, uses_var
 
 __all__ = [
     "ProblemSpec",
@@ -29,7 +29,9 @@ __all__ = [
 ]
 
 _WITNESS_CAP = 10
-_BLOCK_ROWS = 32  # 32 x 2001 doubles is 512 KB: a block's temporaries stay in cache
+# 8 x 2001 doubles is 125 KiB, under glibc's default 128 KiB mmap threshold, so
+# a block's temporaries come from the heap and reuse its pages, block after block
+_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -136,24 +138,28 @@ def _sample_grids(x_range: float, samples_t: int, samples_x: int):
 def _scan(condition, expr, t_grid, x_grid, rhs, violates) -> ConditionReport:
     """Evaluate ``expr`` in row blocks and report where it breaks the bound ``rhs``.
 
-    ``expr`` is evaluated only along the axes it uses: without x on one
-    column, without t on one row that stands for every row, in a single
-    block.  A variable that ``expr`` does not use changes no bit of its
-    value and raises no trap, so the report is the one of the full box.
-    ``violates(block)`` may first turn the block into the left-hand side in
-    place; it returns the mask of violations of ``rhs[j]``, the bound at
-    ``x_grid[j]``, broadcast against ``rhs``.  Witnesses are the first
-    violations in row-major order.
+    ``expr``'s terms in t alone are evaluated once on the t column, and
+    those in x alone once on the x row; each block of rows evaluates only
+    the terms in both.  A result without x is one column, and one without
+    t is one row that stands for every row, in a single block.  A variable
+    that ``expr`` does not use changes no bit of its value and raises no
+    trap, so the report is the one of the full box.  ``violates(block)``
+    may first turn the block into the left-hand side in place; it returns
+    the mask of violations of ``rhs[j]``, the bound at ``x_grid[j]``,
+    broadcast against ``rhs``.  Witnesses are the first violations in
+    row-major order.
     """
-    uses_t = uses_var(expr, "t")
-    x_axis = x_grid[None, :] if uses_var(expr, "x") else x_grid[None, :1]
+    try:
+        uses_t, block = _blocks(expr, t_grid, x_grid)
+    except EvalError as exc:
+        _locate_failure(expr, t_grid, x_grid, exc)
     block_rows = _BLOCK_ROWS if uses_t else t_grid.size
     count = 0
     witnesses = []
     for start in range(0, t_grid.size, block_rows):
         t_block = t_grid[start : start + block_rows]
         try:
-            lhs = evaluate(expr, t_block[:, None] if uses_t else t_block[:1, None], x_axis)
+            lhs = block(start, start + t_block.size)
         except EvalError as exc:
             _locate_failure(expr, t_grid[start:], x_grid, exc)
         bad = violates(lhs)

@@ -436,6 +436,28 @@ def test_deep_expression_exits_2(tmp_path, command, shape):
     assert out == b"" and err == b"error: expression nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "argv, sizes",
+    [
+        (["solve", "--config", "configs/f1.txt", "--n", "1000000000"], "N = 1000000000"),
+        (["converge", "--config", "configs/f1.txt", "--ns", "1000000000"], "Ns = 1000000000"),
+    ],
+)
+def test_out_of_memory_exits_2(argv, sizes):
+    # Only the child's address space is capped, at about 3 GB: the 8 GB arrays of
+    # N = 10^9 then fail at once, and are never tried without the cap.
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.run([sys.executable, "-m", "dirbvp.cli", *argv], cwd=ROOT, env=env,
+                           capture_output=True, preexec_fn=cap, timeout=120)
+    assert child.returncode == 2
+    assert child.stderr == f"error: out of memory at {sizes}\n".encode()
+
+
 def test_check_on_an_overflowing_sample_box_exits_2(tmp_path):
     # M = (1 + 1e308)/(1 - 0.5) is inf, so there is no sample box to scan
     path = write(tmp_path, "f = x/4\nv = 1\nA = 0.5\nB = 1e308\nfx_lower = -0.5\n")

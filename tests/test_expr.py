@@ -20,6 +20,7 @@ from dirbvp.expr import (
     EvalError,
     Expr,
     Neg,
+    NestingError,
     NonDifferentiableError,
     Num,
     ParseError,
@@ -31,6 +32,7 @@ from dirbvp.expr import (
     parse,
     substitute,
 )
+from dirbvp.problem import make_spec
 
 F1 = "(t + sin(x))/(2*x^2 + 4)"
 F2 = "x*exp(t - pi) - atan(x) + exp(t)"
@@ -1070,3 +1072,31 @@ def test_binding_keeps_no_arrays_between_calls():
     # f2's exp(t - pi) and exp(t), and f_x's terms on them, are t-only arrays
     # of 0.8 MB each; a binding keeps none of them
     assert after - before < 64 * 1024
+
+
+_CHAIN = "+".join(["x"] * 3000)  # a left-deep sum, 3000 levels
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parse("(" * 1000 + "x" + ")" * 1000),
+        lambda: evaluate(parse(_CHAIN), 0.0, 1.0),
+        lambda: bind(parse(_CHAIN), np.zeros(3))(np.ones(3)),
+        lambda: diff(parse(_CHAIN), "x"),
+        lambda: expr_module.uses_var(parse(_CHAIN), "t"),
+        lambda: substitute(parse(_CHAIN), "x", Var("t")),
+        lambda: format_expr(parse(_CHAIN)),
+        lambda: make_spec(_CHAIN, "0", A=0.1, B=0.1, fx_lower=-0.5),
+        lambda: corpus.build_problem(
+            corpus.ProblemConfig(name="deep", f=_CHAIN, v="1", A=0.5, B=1.0, fx_lower=-2.0)),
+        lambda: corpus.build_problem(corpus.ProblemConfig(
+            name="deep", f="0", x_star=_CHAIN.replace("x", "t"), A=0.5, B=1.0, fx_lower=-2.0)),
+    ],
+    ids=["parentheses", "evaluate", "bind", "diff", "uses_var", "substitute", "format_expr",
+         "make_spec", "build_problem", "manufacture"],
+)
+def test_deep_expressions_raise_nesting_error(call):
+    # every walk recurses once per level; past Python's limit it is an EvalError
+    with pytest.raises(NestingError, match="^expression nested too deeply$"):
+        call()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirbvp import corpus
+from dirbvp import expr as expr_module
 from dirbvp import problem as problem_module
 from dirbvp.convergence import ManufacturedProblem, manufacture
 from dirbvp.expr import BinOp, Call, EvalError, Neg, Num, Var, evaluate, parse
@@ -176,16 +177,17 @@ def _full_box_report(spec, condition, x_range, samples_t=201, samples_x=2001):
 @pytest.mark.parametrize(
     "f, A, B, fx_lower, condition, x_range, samples_t",
     [
-        # only rows 195..200 violate: all of them in the last, 9-row block
+        # only rows 195..200 violate: the end of the 25th block and the last, one-row block
         ("-t", 1e-3, 0.97, -1.0, "growth", 1.0, 201),
-        # rows 31..33 near x = 0: 9 witnesses in row 31, the tenth in row 32
+        # rows 31..33 near x = 0: 9 witnesses in row 31, the last of the fourth
+        # block, and the tenth in row 32, the first of the fifth
         ("x*(t - 0.16)^2 + x^3/3", 1.0, 1.0, 5e-5, "fx_lower", 1.0, 201),
-        # only row 32, the second block's one row
+        # only row 32, the last block's one row
         ("-t", 1e-3, 0.97, -1.0, "growth", 1.0, 33),
         # every point, so the cap is reached inside the first row
         ("-2*x", 2.5, 0.1, -1.0, "fx_lower", 10.0, 201),
         ("x + 20", 0.5, 0.1, 0.0, "growth", 10.0, 201),
-        # |x| > B/(1 - A) in every row of two full blocks
+        # |x| > B/(1 - A) in every row of eight full blocks
         ("x", 0.5, 0.1, 0.0, "growth", 10.0, 64),
     ],
 )
@@ -321,11 +323,40 @@ def test_scan_along_used_axes_matches_full_box_scan(expr, level, samples_t, samp
         ("x*t - 2*t", "1", 0.5, 0.5, 0.2, 6.0),
         # x only, two violations a row, at x = -1 and 1: the witnesses fill rows 0 to 4
         ("x^2", "0", 1e-3, 0.9985, -10.0, 1.0),
+        # a t-only term that overflows from row 178 on, where the once-per-scan
+        # column fails but 22 blocks before it scan clean
+        ("x + exp(800*t)", "1", 0.5, 0.5, -10.0, 6.0),
     ],
 )
 def test_scan_along_used_axes_matches_full_box_scan_on_edge_configs(f, v, A, B, fx_lower, x_range):
     spec = make_spec(f, v, A=A, B=B, fx_lower=fx_lower)
     _assert_scan_matches_reference(spec, x_range=x_range)
+
+
+@pytest.mark.parametrize(
+    "name, check, fn, sizes",
+    [
+        # f1's sin(x), in f and in f_x, on the x row
+        ("f1", check_growth, "sin", [2001]),
+        ("f1", check_fx_lower, "sin", [2001]),
+        # f2's exp(t - pi) and exp(t) in f, and exp(t - pi) in f_x, on the t column
+        ("f2", check_growth, "exp", [201, 201]),
+        ("f2", check_fx_lower, "exp", [201]),
+        # f3's sin(t), on the column
+        ("f3", check_growth, "sin", [201]),
+    ],
+)
+def test_scan_runs_each_single_variable_step_once(monkeypatch, name, check, fn, sizes):
+    calls = []
+
+    def counting(value, original=expr_module._CALLS[fn]):
+        calls.append(np.size(value))
+        return original(value)
+
+    monkeypatch.setitem(expr_module._CALLS, fn, counting)
+    spec = corpus.build(name)  # new trees, compiled with the counting function
+    check(spec, x_range=10.0)
+    assert calls == sizes
 
 
 def test_witnesses_of_an_x_only_condition_continue_past_the_first_row():
@@ -351,13 +382,13 @@ def _first_failure(failing, samples_t, x_range, samples_x=2001):
 @pytest.mark.parametrize(
     "f, failing, samples_t, check",
     [
-        # row 100 of 201, in the fourth 32-row block
+        # row 100 of 201, in the 13th 8-row block
         ("1/(t - 0.5)", lambda t, x: t == 0.5, 201, check_growth),
         ("1/(t - 0.5)", lambda t, x: t == 0.5, 201, check_fx_lower),
         ("1/(t - 1)", lambda t, x: t == 1.0, 2, check_growth),
         ("1/(t - 1)", lambda t, x: t == 1.0, 33, check_growth),
         ("1/(t - 1)", lambda t, x: t == 1.0, 201, check_fx_lower),
-        # first fails at row 51 (second block), inside the x range
+        # first fails at row 51 (seventh block), inside the x range
         ("sqrt((x - 1)^2 + 1 - 4*t)", lambda t, x: (x - 1) ** 2 + 1 - 4 * t < 0, 201, check_growth),
     ],
 )

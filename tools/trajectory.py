@@ -9,7 +9,10 @@ and then, at the solution it returns, each layer a Newton step runs:
 f, f_x and v bound to the interior nodes, ``_residual``, ``_jacobian``,
 ``solve_tridiagonal``, one Armijo trial (a trial point and its residual)
 and ``GridFunction`` construction, and it counts the steps of the
-compiled f, f_x and v programs.  It also times the CLI in process:
+compiled f, f_x and v programs.  For every corpus problem it times
+``check``'s two scans, of the growth bound and of the f_x bound, on the
+box the CLI samples, and counts the steps of f and f_x by what they read:
+t alone, x alone, both, or neither.  It also times the CLI in process:
 ``solve`` on those four configs at the same sizes, and ``check`` and
 ``converge`` on every config under ``configs/``.
 
@@ -45,7 +48,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from dirbvp import cli, corpus, discrete_op, expr, grid, solver  # noqa: E402
+from dirbvp import cli, corpus, discrete_op, expr, grid, problem, solver  # noqa: E402
 
 PROBLEMS = ("f1", "f1_sin", "f2", "f3")
 SIZES = (100, 10_000, 100_000, 1_000_000)
@@ -131,6 +134,28 @@ def layers(name: str, n: int, repeat: int) -> dict:
     return row
 
 
+def check_row(name: str, repeat: int) -> dict:
+    """``check``'s two scans of one corpus problem, and its f and f_x steps by what they read."""
+    built = corpus.build(name)
+    spec = getattr(built, "spec", built)
+    x_range = cli._sample_range(spec)
+    steps = {}
+    for key, tree in (("f", spec.f), ("fx", spec.fx)):
+        once, each, uses, _ = expr._split(tree._program)
+        reads = [uses[out] for _, _, _, out in once]
+        steps[key] = {"none": reads.count(0), "t": reads.count(1), "x": reads.count(2),
+                      "both": len(each)}
+    return {
+        "problem": name,
+        "x_range": x_range,
+        "steps": steps,
+        "ms": {
+            "growth": best_ms(lambda: problem.check_growth(spec, x_range), repeat),
+            "fx_lower": best_ms(lambda: problem.check_fx_lower(spec, x_range), repeat),
+        },
+    }
+
+
 def cli_row(command: str, config: Path, n: int | None, out: Path, repeat: int) -> dict:
     argv = [command, "--config", str(config), "--output", str(out)]
     if n is not None:
@@ -163,6 +188,7 @@ def main(argv=None) -> int:
         "repeat": args.repeat,
         "sizes": sizes,
         "layers": [layers(name, n, args.repeat) for name in PROBLEMS for n in sizes],
+        "check": [check_row(name, args.repeat) for name in corpus.names()],
         "cli": [],
     }
     configs = sorted((ROOT / "configs").glob("*.txt"))
