@@ -186,7 +186,16 @@ def _report_dict(report) -> dict:
 def _sample_range(spec: ProblemSpec) -> float:
     """The half-width in x of the box that ``check`` samples."""
     t_grid = np.linspace(0.0, 1.0, 1001)
-    v_sup = float(np.max(np.abs(evaluate(spec.v, t_grid, 0.0))))
+    try:
+        v_sup = float(np.max(np.abs(evaluate(spec.v, t_grid, 0.0))))
+    except EvalError as cause:
+        # rescan point by point to name the first t where v fails
+        for t in t_grid:
+            try:
+                evaluate(spec.v, float(t), 0.0)
+            except EvalError as exc:
+                raise EvalError(f"v cannot be evaluated at t={t}: {exc}") from exc
+        raise cause
     # Solutions live in [-M, M]; sample twice that box when M exists.
     if spec.declared_A < 1.0:
         return 2.0 * apriori_bound(spec, v_sup)

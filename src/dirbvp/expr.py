@@ -329,12 +329,15 @@ class _Program:
     operation by its function and operand numbers.  An operation runs
     once per evaluation, at the first place in the walk where its number
     is made, so equal subtrees run once and values and errors are those of
-    the walk.  Only folds that keep every bit and every trap are made: an
-    operation on constants becomes its value unless computing it traps,
-    and y*1.0, 1.0*y, y/1.0, y-(+0.0) and y^1.0 become y.  0.0*y, y+0.0,
-    0.0+y and 0.0-y stay, for the sign of zero and the traps of y.  A
-    malformed tree (an unknown operator or a variable exponent) raises
-    EvalError here, before any arithmetic.
+    the walk.  An operation on constants becomes its value unless
+    computing it traps, and y^1.0 is y by binary powering; every other
+    operation runs, y*1.0 and 0.0*y among them.  A malformed tree (an
+    unknown operator or a variable exponent) raises EvalError here,
+    before any arithmetic.
+
+    With each number the walk records what its value reads: 1 for t, 2
+    for x, 3 for both and 0 for neither, the OR of its operands'.  ``reads[s]`` is
+    that of ``steps[s]``, and ``result_reads`` that of the result.
 
     Values live in a list: t, x, the result, then the constants and the
     other results.  A result holds its slot from its operation to its
@@ -345,16 +348,18 @@ class _Program:
         # by number: None for t and x, a constant (np.float64), or an
         # operation (function, a, b) on the numbers a and b, b None if unary
         values = [None, None]
+        reads = [1, 2]  # by number: what the value reads
         numbers = {}  # a constant's bits, or an operation -> its number
         walked = {}  # id(node) -> number, so that a shared node is walked once
 
-        def number(value):
+        def number(value, read=0):
             # value's number: a constant is keyed by its bits, so -0.0 is not 0.0
             key = value.hex() if type(value) is np.float64 else value
             n = numbers.get(key)
             if n is None:
                 n = numbers[key] = len(values)
                 values.append(value)
+                reads.append(read)
             return n
 
         def operation(function, a, b=None):
@@ -367,7 +372,7 @@ class _Program:
                 else:
                     if type(env[2]) is np.float64:
                         return number(env[2])
-            return number((function, a, b))
+            return number((function, a, b), reads[a] | (0 if b is None else reads[b]))
 
         def power(base, c):
             # base^c.  An integer c != 0 is binary powering (Knuth, TAOCP vol.
@@ -408,16 +413,7 @@ class _Program:
                     right = walk(node.right)
                     if op not in _BINARY:
                         raise EvalError(f"unknown operator {op!r}")
-                    a, b = values[left], values[right]
-                    if type(b) is np.float64 and (
-                        b == 1.0 and (op == "*" or op == "/")
-                        or b == 0.0 and op == "-" and math.copysign(1.0, b) == 1.0
-                    ):
-                        n = left
-                    elif type(a) is np.float64 and a == 1.0 and op == "*":
-                        n = right
-                    else:
-                        n = operation(_BINARY[op], left, right)
+                    n = operation(_BINARY[op], left, right)
             elif isinstance(node, Call):
                 n = operation(_CALLS[node.fn], walk(node.arg))
             elif isinstance(node, Neg):
@@ -445,6 +441,7 @@ class _Program:
             return slots[n]
 
         self.result = slot(result)
+        self.result_reads = reads[result]
         # Backwards from the last operation: a result takes a slot at its
         # last use and gives it up at its own operation, to those before.
         steps = []
@@ -458,6 +455,7 @@ class _Program:
         steps.reverse()
         self.template = template
         self.steps = steps
+        self.reads = [reads[n] for n in range(2, len(values)) if type(values[n]) is tuple]
 
 
 def _run(program, t, x, shape):
@@ -522,35 +520,6 @@ def bind(expr: Expr, t) -> Callable[[np.ndarray], np.ndarray]:
     return bound
 
 
-def _split(program):
-    """``program``'s steps split by the variables each reads, for a scan of a box.
-
-    Returns (once, each, uses, result).  ``once`` holds, in program order,
-    the steps that read t alone, x alone or neither, each renumbered to
-    write a slot of its own past the program's, which no step reuses;
-    ``each`` holds the steps that read both, in program order and in the
-    program's slots.  uses[k] is what the value in slot k depends on, 1
-    for t, 2 for x, 3 for both and 0 for neither, and ``result`` is the
-    result's slot.
-    """
-    uses = [0] * len(program.template)
-    uses[0], uses[1] = 1, 2
-    where = list(range(len(uses)))  # a program slot -> the slot of its value now
-    once, each = [], []
-    for function, i, j, k in program.steps:
-        i, j = where[i], None if j is None else where[j]
-        depends = uses[i] | (0 if j is None else uses[j])
-        if depends == 3:
-            where[k] = k
-            uses[k] = 3
-            each.append((function, i, j, k))
-        else:
-            where[k] = len(uses)
-            uses.append(depends)
-            once.append((function, i, j, where[k]))
-    return once, each, uses, where[program.result]
-
-
 def _blocks(expr: Expr, t: np.ndarray, x: np.ndarray):
     """``expr`` on the box t[:, None] by x[None, :] of finite 1-d grids, by row blocks.
 
@@ -558,21 +527,35 @@ def _blocks(expr: Expr, t: np.ndarray, x: np.ndarray):
     function that gives the result on rows start:stop of the box, stop at
     most t.size.  block(start, stop) is a fresh array of stop - start rows,
     or of one row where the result does not use t, and of x.size columns,
-    or of one where it does not use x.  The steps on t alone run here,
-    once, on the whole column t[:, None], and those on x alone once, on
-    the row x[None, :]; each block runs only the steps on both, on rows
-    start:stop of the t-only values.  So values and errors are evaluate's,
-    but an error of a step on one variable is raised here, whatever its
-    row.  Nothing is kept on the tree.
+    or of one where it does not use x.  By the program's ``reads``, the
+    steps on t alone, x alone or neither run here, once, on the column
+    t[:, None] and the row x[None, :], each into a slot that no step
+    reuses; each block runs only the steps on both, on rows start:stop of
+    the t-only values.  So values and errors are evaluate's, but an error
+    of a step on one variable is raised here, whatever its row.  Nothing
+    is kept on the tree.
     """
     program = expr._program
-    once, each, uses, result = _split(program)
-    env = program.template + [None] * (len(uses) - len(program.template))
+    env = program.template.copy()
     env[0] = t[:, None]
     env[1] = x[None, :]
+    where = list(range(len(env)))  # a program slot -> the slot of its value now
+    t_only = [0]  # the slots of the values on t alone
+    once, each = [], []
+    for (function, i, j, k), reads in zip(program.steps, program.reads):
+        i, j = where[i], None if j is None else where[j]
+        if reads == 3:
+            where[k] = k
+            each.append((function, i, j, k))
+        else:
+            where[k] = len(env)
+            env.append(None)
+            once.append((function, i, j, where[k]))
+            if reads == 1:
+                t_only.append(where[k])
     _execute(once, env)
-    columns = [(k, env[k]) for k, depends in enumerate(uses) if depends == 1]
-    depends = uses[result]
+    columns = [(k, env[k]) for k in t_only]
+    result, depends = where[program.result], program.result_reads
 
     def block(start: int, stop: int) -> np.ndarray:
         for k, column in columns:

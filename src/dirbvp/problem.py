@@ -97,6 +97,8 @@ def make_spec(f, v, *, A: float, B: float, fx_lower: float) -> ProblemSpec:
     """
     f = as_expr(f, "f")
     v = as_expr(v, "v")
+    if any(isinstance(c, (bool, np.bool_)) for c in (A, B, fx_lower)):
+        raise ValueError("declared constants A, B and fx_lower must be numbers, not booleans")
     if not all(math.isfinite(c) for c in (A, B, fx_lower)):
         raise ValueError("declared constants A, B and fx_lower must be finite")
     if A <= 0.0 or B <= 0.0:

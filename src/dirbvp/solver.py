@@ -60,7 +60,8 @@ class SolverConfig:
     initial_guess: GridFunction | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
+        # True and False would pass as 1.0 and 0.0
+        if isinstance(self.tol, (bool, np.bool_)) or not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
         # a NaN limit compares false with every count and is never reached
         if not is_integer(self.max_iter) or self.max_iter < 1:

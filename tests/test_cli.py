@@ -329,6 +329,23 @@ fx_lower = -10
         problem_module.check_fx_lower(spec, x_range=2.0)
 
 
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        ("1/(t - 0.5)", "v cannot be evaluated at t=0.5: division by zero"),
+        ("sqrt(t - 0.3)", "v cannot be evaluated at t=0.0: sqrt of a negative value"),
+        ("exp(900*t)", "v cannot be evaluated at t=0.789: non-finite result: overflow"),
+    ],
+)
+def test_check_names_v_and_the_first_t_where_it_fails(tmp_path, capsys, v, message):
+    # check samples v on its own t grid to size the box, before it scans f
+    path = write(tmp_path, f"f = x/4\nv = {v}\nA = 0.5\nB = 0.5\nfx_lower = -1\n")
+    assert main(["check", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
 def test_check_clean_exit_code(tmp_path, capsys):
     config = load_config(write(tmp_path, F1_CONFIG))
     assert run("check", config) == 0
@@ -477,6 +494,27 @@ def test_norms_does_not_depend_on_the_blas_thread_count():
             outputs.append(child.communicate())
         assert child.returncode == 0
     assert outputs[0] == outputs[1]
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    # scipy.linalg's LAPACK module alone doubles a solve's peak memory
+    script = f"""
+import contextlib, io, sys
+from dirbvp import cli
+out = {str(tmp_path / "out")!r}
+for argv in (["check", "--config", "configs/f1.txt"],
+             ["solve", "--config", "configs/f1.txt", "--n", "64"],
+             ["converge", "--config", "configs/f1.txt", "--ns", "4,8"],
+             ["norms"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--output", out]) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                           capture_output=True, timeout=120)
+    assert child.returncode == 0, child.stderr.decode()
+    assert child.stdout == b"[]\n"
 
 
 def test_converge_deterministic_bytes(tmp_path):

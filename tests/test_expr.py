@@ -721,9 +721,9 @@ def test_evaluate_result_is_never_an_input(source, reference, t, x):
     assert np.array_equal(np.asarray(x).view(np.int64), np.asarray(saved_x).view(np.int64))
 
 
-# Trees of the _trees kind that also hold the constants the compiler folds
-# (1.0, signed zeros, the exponent 1.0) and subtrees shared by identity, as
-# diff builds them.
+# Trees of the _trees kind that also hold identity constants (1.0, signed
+# zeros, and the exponent 1.0, which the compiler folds) and subtrees shared
+# by identity, as diff builds them.
 _fold_leaves = _leaves | st.sampled_from([Num(1.0), Num(-1.0), Num(-0.0)])
 _shared_trees = st.recursive(
     _fold_leaves,
@@ -758,7 +758,7 @@ def _grid(t, *xs):
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(expr=_shared_trees, grid=_grids)
-# the identity folds keep the sign of zero
+# identities keep the sign of zero: y*1.0 and its kin run, y^1.0 folds
 @example(expr=parse("x*1.0"), grid=_grid([0.5], [-0.0], [2.0]))
 @example(expr=parse("1.0*x"), grid=_grid([0.5], [-0.0], [2.0]))
 @example(expr=parse("x/1.0"), grid=_grid([0.5], [-0.0], [2.0]))
@@ -817,9 +817,10 @@ def test_bind_checks_its_inputs():
 @pytest.mark.parametrize(
     "source, steps",
     [
-        # folds that keep every bit
-        ("x*1.0", 0), ("1.0*x", 0), ("x/1.0", 0), ("x-0.0", 0), ("x^1.0", 0),
-        ("(2*3 - 5)*x", 0), ("x^(3 - 2)", 0), ("2*3 + x", 1),
+        # folds that keep every bit: constants, and y^1.0 by binary powering
+        ("x^1.0", 0), ("x^(3 - 2)", 0), ("2*3 + x", 1),
+        # no identity fold: diff builds none of these, so each runs
+        ("x*1.0", 1), ("1.0*x", 1), ("x/1.0", 1), ("x-0.0", 1), ("(2*3 - 5)*x", 1),
         # no fold: the sign of zero, a negative zero, or a trap would change
         ("0.0*x", 1), ("x*0.0", 1), ("x+0.0", 1), ("0.0+x", 1), ("0.0-x", 1),
         ("x-(-0.0)", 1), ("x*(-1.0)", 1), ("1/0 + x", 2), ("1e200*1e200 + x", 2),
@@ -1031,6 +1032,35 @@ def test_corpus_programs_use_only_the_fixed_instructions():
 @example(expr=parse("x^-7 + x^2.5 + x^0 + (2*x)^(2^53)"))
 def test_programs_use_only_the_fixed_instructions(expr):
     assert _instructions(expr) <= _INSTRUCTIONS
+
+
+def _replayed_reads(program):
+    """What each step of ``program`` reads, and what its result reads, by a replay.
+
+    The steps run in order over what each slot holds: 1 for t, 2 for x, 3
+    for both and 0 for neither, the OR of a step's operands'.
+    """
+    held = [0] * len(program.template)
+    held[0], held[1] = 1, 2
+    reads = []
+    for _, i, j, k in program.steps:
+        held[k] = held[i] | (0 if j is None else held[j])
+        reads.append(held[k])
+    return reads, held[program.result]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(expr=_shared_trees)
+@example(expr=parse("t"))
+@example(expr=parse("x^1.0"))
+@example(expr=parse("2*3 - 5"))
+@example(expr=parse("1/0 + t*1.0"))
+@example(expr=parse("sin(t)*x + sin(t)^2 - sin(x)"))
+def test_compiler_records_what_each_step_reads(expr):
+    program = expr._program
+    assert (program.reads, program.result_reads) == _replayed_reads(program)
+    uses = expr_module.uses_var(expr, "t") + 2 * expr_module.uses_var(expr, "x")
+    assert program.result_reads == uses
 
 
 def test_binding_runs_every_step_per_call(monkeypatch):

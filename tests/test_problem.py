@@ -33,6 +33,12 @@ def test_make_spec_validates_constants():
         make_spec("x", "0", A=0.0, B=0.5, fx_lower=-0.5)
     with pytest.raises(ValueError):
         make_spec("x", "0", A=0.5, B=-1.0, fx_lower=-0.5)
+    # a bool would pass as 1.0 or 0.0, as JSON true and false do not in a config
+    constants = {"A": 0.5, "B": 0.5, "fx_lower": -0.5}
+    for constant in constants:
+        for bad in (True, False, np.True_):
+            with pytest.raises(ValueError, match="not booleans"):
+                make_spec("x", "0", **{**constants, constant: bad})
 
 
 @pytest.mark.parametrize("constant", ["A", "B", "fx_lower"])

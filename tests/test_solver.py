@@ -146,7 +146,8 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=-1.0)
     # a NaN or infinite threshold would report converged without iterating
-    for tol in (math.nan, math.inf):
+    # True would pass as 1.0, and False as 0.0
+    for tol in (math.nan, math.inf, True, False, np.True_):
         with pytest.raises(ValueError, match="tol"):
             SolverConfig(tol=tol)
     # a NaN limit is never reached, so the solve would not stop; only

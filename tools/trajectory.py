@@ -141,10 +141,9 @@ def check_row(name: str, repeat: int) -> dict:
     x_range = cli._sample_range(spec)
     steps = {}
     for key, tree in (("f", spec.f), ("fx", spec.fx)):
-        once, each, uses, _ = expr._split(tree._program)
-        reads = [uses[out] for _, _, _, out in once]
+        reads = tree._program.reads
         steps[key] = {"none": reads.count(0), "t": reads.count(1), "x": reads.count(2),
-                      "both": len(each)}
+                      "both": reads.count(3)}
     return {
         "problem": name,
         "x_range": x_range,
