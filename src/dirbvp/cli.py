@@ -25,10 +25,11 @@ import numpy as np
 
 from .convergence import ConvergenceTable, ManufacturedProblem, StudyError, run_study
 from .corpus import ConfigError, ProblemConfig, build_problem
+from .discrete_op import _interior_nodes
 from .expr import EvalError, ParseError, evaluate
 from .grid import grid_size, norms, random_element
 from .problem import ProblemSpec, apriori_bound, check_fx_lower, check_growth, classify
-from .solver import CONVERGED, SolverConfig, newton_solve
+from .solver import CONVERGED, EVAL_ERROR, SolverConfig, newton_solve
 
 # Not called here; kept because the benchmark's tracer patches these names on this module.
 from .convergence import manufacture  # noqa: F401
@@ -51,10 +52,10 @@ def _parse_flat(text: str) -> dict[str, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
+        key, sep, value = line.partition("=")
         key = key.strip()
+        if not sep or not key:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         value = value.strip()
         if key in fields:
             raise ConfigError(f"line {lineno}: duplicate field {key!r}")
@@ -183,11 +184,10 @@ def _report_dict(report) -> dict:
     }
 
 
-def _sample_range(spec: ProblemSpec) -> float:
-    """The half-width in x of the box that ``check`` samples."""
-    t_grid = np.linspace(0.0, 1.0, 1001)
+def _evaluate_v(spec: ProblemSpec, t_grid: np.ndarray) -> np.ndarray:
+    """v on ``t_grid``; where it fails, an EvalError that names the first failing t."""
     try:
-        v_sup = float(np.max(np.abs(evaluate(spec.v, t_grid, 0.0))))
+        return evaluate(spec.v, t_grid, 0.0)
     except EvalError as cause:
         # rescan point by point to name the first t where v fails
         for t in t_grid:
@@ -196,6 +196,19 @@ def _sample_range(spec: ProblemSpec) -> float:
             except EvalError as exc:
                 raise EvalError(f"v cannot be evaluated at t={t}: {exc}") from exc
         raise cause
+
+
+def _report_failing_v(spec: ProblemSpec, n: int) -> None:
+    """Write an ``error:`` line to stderr if v fails on the interior nodes of n subintervals."""
+    try:
+        _evaluate_v(spec, _interior_nodes(n))
+    except EvalError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+
+
+def _sample_range(spec: ProblemSpec) -> float:
+    """The half-width in x of the box that ``check`` samples."""
+    v_sup = float(np.max(np.abs(_evaluate_v(spec, np.linspace(0.0, 1.0, 1001)))))
     # Solutions live in [-M, M]; sample twice that box when M exists.
     if spec.declared_A < 1.0:
         return 2.0 * apriori_bound(spec, v_sup)
@@ -242,7 +255,8 @@ def _run_check(config: ProblemConfig, problem, output) -> int:
 def _run_solve(config: ProblemConfig, problem, output) -> int:
     if config.n is None:
         raise ConfigError("solve requires N (config field N or --n)")
-    report = newton_solve(_spec_of(problem), config.n, config.solver)
+    spec = _spec_of(problem)
+    report = newton_solve(spec, config.n, config.solver)
 
     _emit(_solution_csv(report.solution), output)
 
@@ -252,7 +266,11 @@ def _run_solve(config: ProblemConfig, problem, output) -> int:
         f"residual_norm: {report.residual_norm:.6e}\n"
         f"sup_norm: {float(np.max(np.abs(report.solution.values))):.6e}\n"
     )
-    return 0 if report.status == CONVERGED else 2
+    if report.status == CONVERGED:
+        return 0
+    if report.status == EVAL_ERROR:
+        _report_failing_v(spec, config.n)
+    return 2
 
 
 def _solution_csv(x):
@@ -283,13 +301,14 @@ def _run_converge(config: ProblemConfig, problem, output) -> int:
     except StudyError as exc:
         _emit([_table_csv(exc.partial)], output)
         sys.stderr.write(f"error: {exc}\n")
+        _report_failing_v(_spec_of(problem), exc.n)
         return 2
     _emit([_table_csv(table)], output)
     return 0
 
 
 def _run_norms(output, seed: int, n: int | None) -> int:
-    rng = np.random.default_rng(seed)
+    rng = _convert("option '--seed'", np.random.default_rng, seed)
     ns = (n,) if n is not None else _DEFAULT_NORMS_NS
     rows = [
         "N,sample,quarter_e_norm,half_delta_norm,n_norm,sqrtN_sup_norm,N_delta_norm,N2_e_norm,chain_holds"

@@ -62,11 +62,12 @@ class ManufacturedProblem:
 
 
 class StudyError(RuntimeError):
-    """A refinement study aborted; carries the partial table."""
+    """A refinement study aborted at grid size ``n``; carries the partial table."""
 
-    def __init__(self, message: str, partial: ConvergenceTable):
+    def __init__(self, message: str, partial: ConvergenceTable, n: int):
         super().__init__(message)
         self.partial = partial
+        self.n = n
 
 
 def manufacture(f, x_star, *, A: float, B: float, fx_lower: float) -> ManufacturedProblem:
@@ -97,7 +98,7 @@ def _solve_or_abort(spec, n, cfg, rows, problem_id, reference):
     rep = newton_solve(spec, n, cfg)
     if rep.status != CONVERGED:
         partial = ConvergenceTable(problem_id, reference, tuple(rows))
-        raise StudyError(f"solver failed at N={n} with status {rep.status}", partial)
+        raise StudyError(f"solver failed at N={n} with status {rep.status}", partial, n)
     return rep.solution
 
 

@@ -29,7 +29,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "NestingError",
     "parse",
     "evaluate",
-    "bind",
     "diff",
     "substitute",
     "uses_var",
@@ -458,8 +457,23 @@ class _Program:
         self.reads = [reads[n] for n in range(2, len(values)) if type(values[n]) is tuple]
 
 
-def _run(program, t, x, shape):
-    """Run ``program`` on the checked operands t and x of broadcast shape ``shape``."""
+def evaluate(expr: Expr, t=0.0, x=0.0):
+    """Evaluate ``expr`` at (t, x).
+
+    Scalars in give a float back; numpy arrays broadcast and give an
+    array of the broadcast shape.  Domain failures (division by zero,
+    sqrt of a negative, invalid powers, overflow) and non-finite t or x
+    raise EvalError rather than propagating NaN or infinity.  Underflow
+    to zero is not an error.  A tree is compiled on its first
+    evaluation and its compiled form is kept on the tree; each call runs
+    the whole program and keeps nothing between calls.
+    """
+    t = _operand(t)
+    x = _operand(x)
+    if np.count_nonzero(np.isfinite(t)) < t.size or np.count_nonzero(np.isfinite(x)) < x.size:
+        raise EvalError("non-finite input")
+    program = expr._program
+    shape = np.broadcast(t, x).shape
     env = program.template.copy()
     env[0] = t
     env[1] = x
@@ -475,49 +489,6 @@ def _run(program, t, x, shape):
     out = np.empty(shape)
     np.copyto(out, result)  # keeps -0.0, as a copy does
     return out
-
-
-def evaluate(expr: Expr, t=0.0, x=0.0):
-    """Evaluate ``expr`` at (t, x).
-
-    Scalars in give a float back; numpy arrays broadcast and give an
-    array of the broadcast shape.  Domain failures (division by zero,
-    sqrt of a negative, invalid powers, overflow) and non-finite t or x
-    raise EvalError rather than propagating NaN or infinity.  Underflow
-    to zero is not an error.  A tree is compiled on its first
-    evaluation and its compiled form is kept on the tree.
-    """
-    t = _operand(t)
-    x = _operand(x)
-    if np.count_nonzero(np.isfinite(t)) < t.size or np.count_nonzero(np.isfinite(x)) < x.size:
-        raise EvalError("non-finite input")
-    return _run(expr._program, t, x, np.broadcast(t, x).shape)
-
-
-def bind(expr: Expr, t) -> Callable[[np.ndarray], np.ndarray]:
-    """``expr`` at a fixed 1-D array t, as a function of x of t's shape.
-
-    Calling the result gives ``evaluate(expr, t, x)`` bit for bit, and
-    raises where evaluate raises.  t is checked here, once; each call
-    checks only x and then runs the whole program, as evaluate does.
-    Between calls a binding keeps only the tree and t.
-    """
-    t = _operand(t)
-    if t.ndim != 1:
-        raise ValueError(f"t must be a 1-d array, got shape {t.shape}")
-    if np.count_nonzero(np.isfinite(t)) < t.size:
-        raise EvalError("non-finite input")
-    shape = t.shape
-
-    def bound(x) -> np.ndarray:
-        x = _operand(x)
-        if x.shape != shape:
-            raise ValueError(f"x must have the shape {shape} of t, got {x.shape}")
-        if np.count_nonzero(np.isfinite(x)) < x.size:
-            raise EvalError("non-finite input")
-        return _run(expr._program, t, x, shape)
-
-    return bound
 
 
 def _blocks(expr: Expr, t: np.ndarray, x: np.ndarray):

@@ -24,7 +24,7 @@ from .discrete_op import (
     residual,
     solve_tridiagonal,
 )
-from .expr import EvalError, bind, evaluate
+from .expr import EvalError, evaluate
 from .grid import GridFunction, grid_size, is_integer, random_element
 from .problem import ProblemSpec
 
@@ -114,16 +114,14 @@ def newton_solve(spec: ProblemSpec, n: int, cfg: SolverConfig | None = None) -> 
             status=status,
         )
 
-    # t_k, f and f_x bound to it, and v(t_k) are fixed for the solve; scaling
-    # tol by the size of v keeps the stopping test from getting harsher on
-    # finer grids, as residuals carry a 1/N^2 factor.
+    # t_k and v(t_k) are fixed for the solve; scaling tol by the size of v
+    # keeps the stopping test from getting harsher on finer grids, as
+    # residuals carry a 1/N^2 factor.
     t = _interior_nodes(n)
-    f = bind(spec.f, t)
-    fx = bind(spec.fx, t)
     try:
         v_vals = evaluate(spec.v, t, 0.0)
         threshold = cfg.tol * (1.0 + float(np.max(np.abs(v_vals))) * math.sqrt(n) / n**2)
-        r, r_norm = _residual(f, v_vals, values)
+        r, r_norm = _residual(spec.f, t, v_vals, values)
     except EvalError:
         return report(EVAL_ERROR, values, math.nan, 0)
 
@@ -135,7 +133,7 @@ def newton_solve(spec: ProblemSpec, n: int, cfg: SolverConfig | None = None) -> 
             return report(MAX_ITER, values, r_norm, iterations)
         try:
             # r is not used again, so it is negated in place
-            step = solve_tridiagonal(_jacobian(fx, values), np.negative(r, out=r))
+            step = solve_tridiagonal(_jacobian(spec.fx, t, values), np.negative(r, out=r))
         except SingularJacobianError:
             return report(SINGULAR_JACOBIAN, values, r_norm, iterations)
         except EvalError:
@@ -147,7 +145,7 @@ def newton_solve(spec: ProblemSpec, n: int, cfg: SolverConfig | None = None) -> 
         while True:
             np.add(values[1:-1], lam * step, out=trial[1:-1])
             try:
-                r_new, r_new_norm = _residual(f, v_vals, trial)
+                r_new, r_new_norm = _residual(spec.f, t, v_vals, trial)
                 ok = 0.5 * r_new_norm**2 <= merit_0 + _ARMIJO_C * lam * slope
             except EvalError:
                 ok = False  # treat an unevaluable trial point as a failed step

@@ -13,7 +13,7 @@ from dirbvp import cli, corpus
 from dirbvp import problem as problem_module
 from dirbvp.cli import ConfigError, ProblemConfig, build_problem, load_config, main, run
 from dirbvp.convergence import ManufacturedProblem, run_study
-from dirbvp.expr import EvalError
+from dirbvp.expr import EvalError, evaluate
 from dirbvp.grid import GridFunction, random_element
 from dirbvp.solver import SolverConfig, newton_solve
 
@@ -149,6 +149,13 @@ def test_load_config_rejects_unknown_and_duplicate_fields(tmp_path):
         load_config(write(tmp_path, F1_CONFIG + "mystery = 3\n"))
     with pytest.raises(ConfigError, match="duplicate"):
         load_config(write(tmp_path, F1_CONFIG + "A = 0.2\n"))
+
+
+def test_flat_config_line_with_an_empty_key_is_malformed(tmp_path, capsys):
+    assert main(["check", "--config", str(write(tmp_path, "= 3\n"))]) == 2
+    assert capsys.readouterr().err == "error: line 1: expected 'key = value', got '= 3'\n"
+    with pytest.raises(ConfigError, match="^line 10: expected 'key = value', got '= 3'$"):
+        load_config(write(tmp_path, F1_CONFIG + "  = 3\n"))
 
 
 def test_load_config_v_and_x_star_rules(tmp_path):
@@ -346,6 +353,54 @@ def test_check_names_v_and_the_first_t_where_it_fails(tmp_path, capsys, v, messa
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        ("1/(t - 0.5)", "v cannot be evaluated at t=0.5: division by zero"),
+        ("sqrt(t - 0.3)", "v cannot be evaluated at t=0.1: sqrt of a negative value"),
+    ],
+)
+def test_solve_names_v_and_the_first_t_where_it_fails(tmp_path, capsys, v, message):
+    # the solve grid's interior nodes k/10; stdout, the CSV and the exit code are unchanged
+    path = write(tmp_path, f"f = x/4\nv = {v}\nA = 0.5\nB = 0.5\nfx_lower = -1\n")
+    out = tmp_path / "x.csv"
+    assert main(["solve", "--config", str(path), "--n", "10", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "status: eval_error\niterations: 0\nresidual_norm: nan\nsup_norm: 0.000000e+00\n"
+    )
+    assert captured.err == f"error: {message}\n"
+    rows = [f"{k},{float(k / 10):.17g},0" for k in range(1, 10)]
+    assert out.read_text() == "\n".join(["k,t,x", "0,0,0", *rows, "10,1,0"]) + "\n"
+
+
+def test_solve_names_no_v_where_f_fails_or_the_solve_converges(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
+    out = str(tmp_path / "x.csv")
+    # f reaches sqrt(-1) on the way to the solution; v is fine
+    path = write(tmp_path, "f = sqrt(x + 1)\nv = 8\nA = 1\nB = 1\nfx_lower = 0\nN = 16\n")
+    assert main(["solve", "--config", str(path), "--output", out]) == 2
+    captured = capsys.readouterr()
+    assert "status: eval_error" in captured.out and captured.err == ""
+    calls.clear()
+    # a solve that converges evaluates nothing more
+    assert main(["solve", "--config", str(CONFIGS / "f1.txt"), "--output", out]) == 0
+    assert calls == [] and capsys.readouterr().err == ""
+
+
+def test_converge_names_v_and_the_first_t_where_it_fails(tmp_path, capsys):
+    # v fails first on the 8 x 8 = 64 reference grid, at its node 32/64
+    path = write(tmp_path, "f = x/4\nv = 1/(t - 0.5)\nA = 0.5\nB = 0.5\nfx_lower = -1\n")
+    out = tmp_path / "t.csv"
+    assert main(["converge", "--config", str(path), "--ns", "4,8", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: solver failed at N=64 with status eval_error\n"
+        "error: v cannot be evaluated at t=0.5: division by zero\n"
+    )
+    assert out.read_text() == "N,sup_error,empirical_order,derivative_bound\n"
+
+
 def test_check_clean_exit_code(tmp_path, capsys):
     config = load_config(write(tmp_path, F1_CONFIG))
     assert run("check", config) == 0
@@ -384,6 +439,12 @@ def test_norms_command(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) > 1
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+def test_negative_seed_names_the_option(capsys):
+    assert main(["norms", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: option '--seed': ") and err.count("\n") == 1
 
 
 def test_main_overrides_and_exit_codes(tmp_path, capsys):

@@ -25,7 +25,6 @@ from dirbvp.expr import (
     Num,
     ParseError,
     Var,
-    bind,
     diff,
     evaluate,
     format_expr,
@@ -775,43 +774,15 @@ def _grid(t, *xs):
 @example(expr=parse("sqrt(t - 0.5)*x"), grid=_grid([0.75, 1.0], [1.0, 2.0], [3.0, 4.0]))
 def test_bound_evaluation_matches_evaluate_and_the_walk(expr, grid):
     t, *xs = grid
-    bound = bind(expr, t)  # building the binding evaluates nothing
-    for x in xs:  # every call runs the whole program
+    for x in xs:  # every call runs the whole program, with nothing kept from the last
         expected = _message_or_value(_walk_evaluate, expr, t, x)
-        for got in (
-            _message_or_value(evaluate, expr, t, x),
-            _message_or_value(lambda expr, t, x: bound(x), expr, t, x),
-        ):
-            assert type(got) is type(expected)
-            if isinstance(expected, str):
-                assert got == expected
-            else:
-                assert got.shape == t.shape
-                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-
-
-def test_bound_results_are_the_callers():
-    t = np.array([0.25, 0.5])
-    x = np.array([1.0, -0.0])
-    for source in ("x", "t", "2", "sin(t)", "x*1.0", "t + x"):
-        bound = bind(parse(source), t)
-        first = bound(x)
-        first[...] = 7.0
-        again = bound(x)
-        assert not np.shares_memory(again, x) and not np.shares_memory(again, t)
-        assert np.array_equal(again, evaluate(parse(source), t, x))
-
-
-def test_bind_checks_its_inputs():
-    with pytest.raises(EvalError, match="non-finite input"):
-        bind(parse("x"), np.array([0.5, math.nan]))
-    with pytest.raises(ValueError, match="1-d"):
-        bind(parse("x"), 0.5)
-    bound = bind(parse("x + t"), np.array([0.5, 0.25]))
-    with pytest.raises(EvalError, match="non-finite input"):
-        bound(np.array([1.0, math.inf]))
-    with pytest.raises(ValueError, match="shape"):
-        bound(np.array([1.0, 2.0, 3.0]))
+        got = _message_or_value(evaluate, expr, t, x)
+        assert type(got) is type(expected)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got.shape == t.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize(
@@ -1073,12 +1044,12 @@ def test_binding_runs_every_step_per_call(monkeypatch):
     monkeypatch.setitem(expr_module._CALLS, "sin", counting_sin)
     t = np.linspace(0.1, 0.9, 5)
     tree = parse("sin(t)*x + sin(t)^2 - sin(x)")  # two sin(t) nodes, one sin(x)
-    bound = bind(tree, t)
     for k in range(4):
-        np.testing.assert_array_equal(bound(np.full(5, float(k))), evaluate(tree, t, np.full(5, float(k))))
-    # a bound call and evaluate each run every step: sin(t), which the two
-    # equal nodes share, and sin(x)
-    assert len(calls) == 4 * 2 + 4 * 2
+        x = np.full(5, float(k))
+        np.testing.assert_array_equal(evaluate(tree, t, x), _walk_evaluate(tree, t, x))
+    # each evaluate call runs every step: sin(t), which the two equal nodes
+    # share, and sin(x); nothing on t alone is kept from the call before
+    assert len(calls) == 4 * 2
 
 
 def test_binding_keeps_no_arrays_between_calls():
@@ -1092,15 +1063,14 @@ def test_binding_keeps_no_arrays_between_calls():
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        bindings = [bind(f, t), bind(fx, t)]
-        for bound in bindings:
+        for tree in (f, fx):
             for _ in range(2):
-                bound(x)
+                evaluate(tree, t, x)
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # f2's exp(t - pi) and exp(t), and f_x's terms on them, are t-only arrays
-    # of 0.8 MB each; a binding keeps none of them
+    # of 0.8 MB each; evaluate keeps none of them
     assert after - before < 64 * 1024
 
 
@@ -1112,7 +1082,6 @@ _CHAIN = "+".join(["x"] * 3000)  # a left-deep sum, 3000 levels
     [
         lambda: parse("(" * 1000 + "x" + ")" * 1000),
         lambda: evaluate(parse(_CHAIN), 0.0, 1.0),
-        lambda: bind(parse(_CHAIN), np.zeros(3))(np.ones(3)),
         lambda: diff(parse(_CHAIN), "x"),
         lambda: expr_module.uses_var(parse(_CHAIN), "t"),
         lambda: substitute(parse(_CHAIN), "x", Var("t")),
@@ -1123,7 +1092,7 @@ _CHAIN = "+".join(["x"] * 3000)  # a left-deep sum, 3000 levels
         lambda: corpus.build_problem(corpus.ProblemConfig(
             name="deep", f="0", x_star=_CHAIN.replace("x", "t"), A=0.5, B=1.0, fx_lower=-2.0)),
     ],
-    ids=["parentheses", "evaluate", "bind", "diff", "uses_var", "substitute", "format_expr",
+    ids=["parentheses", "evaluate", "diff", "uses_var", "substitute", "format_expr",
          "make_spec", "build_problem", "manufacture"],
 )
 def test_deep_expressions_raise_nesting_error(call):

@@ -287,25 +287,14 @@ def test_newton_failure_statuses_match_reference():
 
 
 def count_evaluations(monkeypatch):
-    """Record the expression of every evaluation the solver makes: each
-    evaluate call, and each call of a function that bind returned."""
+    """Record the expression of every evaluate call the solver makes."""
     calls = []
     for module in (solver, discrete_op):
         def evaluate(expr, t=0.0, x=0.0, original=module.evaluate):
             calls.append(expr)
             return original(expr, t, x)
 
-        def bind(expr, t, original=module.bind):
-            bound = original(expr, t)
-
-            def counted(x):
-                calls.append(expr)
-                return bound(x)
-
-            return counted
-
         monkeypatch.setattr(module, "evaluate", evaluate)
-        monkeypatch.setattr(module, "bind", bind)
     return calls
 
 

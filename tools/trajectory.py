@@ -6,10 +6,10 @@ Run from the root of a dirbvp source tree; dirbvp is imported from its
 ``src`` directory.  For f1, f1_sin, f2 and f3 at N = 10^2, 10^4, 10^5
 and 10^6 (those up to ``--max-n``) it times ``newton_solve`` from zero,
 and then, at the solution it returns, each layer a Newton step runs:
-f, f_x and v bound to the interior nodes, ``_residual``, ``_jacobian``,
-``solve_tridiagonal``, one Armijo trial (a trial point and its residual)
-and ``GridFunction`` construction, and it counts the steps of the
-compiled f, f_x and v programs.  For every corpus problem it times
+``evaluate`` of f, f_x and v at the interior nodes, ``_residual``,
+``_jacobian``, ``solve_tridiagonal``, one Armijo trial (a trial point and
+its residual) and ``GridFunction`` construction, and it counts the steps
+of the compiled f, f_x and v programs.  For every corpus problem it times
 ``check``'s two scans, of the growth bound and of the f_x bound, on the
 box the CLI samples, and counts the steps of f and f_x by what they read:
 t alone, x alone, both, or neither.  It also times the CLI in process:
@@ -107,26 +107,23 @@ def layers(name: str, n: int, repeat: int) -> dict:
     }
     values = report.solution.values
     t = discrete_op._interior_nodes(n)
-    f = expr.bind(spec.f, t)
-    fx = expr.bind(spec.fx, t)
-    v = expr.bind(spec.v, t)
     v_vals = expr.evaluate(spec.v, t, 0.0)
     interior = values[1:-1]
-    r, _ = discrete_op._residual(f, v_vals, values)
-    matrix = discrete_op._jacobian(fx, values)
+    r, _ = discrete_op._residual(spec.f, t, v_vals, values)
+    matrix = discrete_op._jacobian(spec.fx, t, values)
     step = discrete_op.solve_tridiagonal(matrix, -r)
     trial = np.zeros(n + 1)
 
     def armijo_trial():
         np.add(interior, step, out=trial[1:-1])
-        return discrete_op._residual(f, v_vals, trial)
+        return discrete_op._residual(spec.f, t, v_vals, trial)
 
     row["ms"].update({
-        "f": best_ms(lambda: f(interior), repeat),
-        "fx": best_ms(lambda: fx(interior), repeat),
-        "v": best_ms(lambda: v(interior), repeat),
-        "residual": best_ms(lambda: discrete_op._residual(f, v_vals, values), repeat),
-        "jacobian": best_ms(lambda: discrete_op._jacobian(fx, values), repeat),
+        "f": best_ms(lambda: expr.evaluate(spec.f, t, interior), repeat),
+        "fx": best_ms(lambda: expr.evaluate(spec.fx, t, interior), repeat),
+        "v": best_ms(lambda: expr.evaluate(spec.v, t, 0.0), repeat),
+        "residual": best_ms(lambda: discrete_op._residual(spec.f, t, v_vals, values), repeat),
+        "jacobian": best_ms(lambda: discrete_op._jacobian(spec.fx, t, values), repeat),
         "solve_tridiagonal": best_ms(lambda: discrete_op.solve_tridiagonal(matrix, r), repeat),
         "armijo_trial": best_ms(armijo_trial, repeat),
         "grid_function": best_ms(lambda: grid.GridFunction(n, values), repeat),
