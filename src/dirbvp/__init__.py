@@ -14,7 +14,6 @@ manufactured or fine-grid reference solutions.
 from .convergence import (
     ConvergenceRow,
     ConvergenceTable,
-    ManufacturedProblem,
     StudyError,
     manufacture,
     run_study,

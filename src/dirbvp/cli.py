@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convergence import ConvergenceTable, ManufacturedProblem, StudyError, run_study
+from .convergence import ConvergenceTable, StudyError, run_study
 from .corpus import ConfigError, ProblemConfig, build_problem
 from .discrete_op import _interior_nodes
 from .expr import EvalError, ParseError, evaluate
@@ -61,6 +61,13 @@ def _parse_flat(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: duplicate field {key!r}")
         fields[key] = value
     return fields
+
+
+def _text(value) -> str:
+    # str() would turn a JSON null into the text "None"
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def _number(value) -> float:
@@ -137,10 +144,10 @@ def load_config(path) -> ProblemConfig:
     for key, convert in (("tol", _number), ("max_iter", _integer)):
         solver = take(key, lambda value: replace(solver, **{key: convert(value)}), solver)
     config = ProblemConfig(
-        name=take("name", str, path.stem),
-        f=take("f", str),
-        v=take("v", str),
-        x_star=take("x_star", str),
+        name=take("name", _text, path.stem),
+        f=take("f", _text),
+        v=take("v", _text),
+        x_star=take("x_star", _text),
         A=take("A", _number),
         B=take("B", _number),
         fx_lower=take("fx_lower", _number),
@@ -149,10 +156,6 @@ def load_config(path) -> ProblemConfig:
         solver=solver,
     )
     return config
-
-
-def _spec_of(problem) -> ProblemSpec:
-    return problem.spec if isinstance(problem, ManufacturedProblem) else problem
 
 
 def _fmt(value: float) -> str:
@@ -215,8 +218,7 @@ def _sample_range(spec: ProblemSpec) -> float:
     return 10.0
 
 
-def _run_check(config: ProblemConfig, problem, output) -> int:
-    spec = _spec_of(problem)
+def _run_check(config: ProblemConfig, spec: ProblemSpec, output) -> int:
     x_range = _sample_range(spec)
     growth = check_growth(spec, x_range)
     fx_low = check_fx_lower(spec, x_range)
@@ -252,10 +254,9 @@ def _run_check(config: ProblemConfig, problem, output) -> int:
     return 1 if (growth.violated or fx_low.violated) else 0
 
 
-def _run_solve(config: ProblemConfig, problem, output) -> int:
+def _run_solve(config: ProblemConfig, spec: ProblemSpec, output) -> int:
     if config.n is None:
         raise ConfigError("solve requires N (config field N or --n)")
-    spec = _spec_of(problem)
     report = newton_solve(spec, config.n, config.solver)
 
     _emit(_solution_csv(report.solution), output)
@@ -293,15 +294,15 @@ def _table_csv(table: ConvergenceTable) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _run_converge(config: ProblemConfig, problem, output) -> int:
+def _run_converge(config: ProblemConfig, spec: ProblemSpec, output) -> int:
     if not config.ns:
         raise ConfigError("converge requires Ns (config field Ns or --ns)")
     try:
-        table = run_study(problem, config.ns, config.solver, problem_id=config.name)
+        table = run_study(spec, config.ns, config.solver, problem_id=config.name)
     except StudyError as exc:
         _emit([_table_csv(exc.partial)], output)
         sys.stderr.write(f"error: {exc}\n")
-        _report_failing_v(_spec_of(problem), exc.n)
+        _report_failing_v(spec, exc.n)
         return 2
     _emit([_table_csv(table)], output)
     return 0
@@ -345,7 +346,7 @@ def run(command: str, config: ProblemConfig | None, output=None, seed: int = 0,
     """
     if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    problem = None if config is None else build_problem(config)
+    spec = None if config is None else build_problem(config)
     if n is not None:
         _convert("option '--n'", grid_size, n)
     if command == "norms":
@@ -355,10 +356,10 @@ def run(command: str, config: ProblemConfig | None, output=None, seed: int = 0,
     if n is not None:
         config = replace(config, n=n)
     if command == "check":
-        return _run_check(config, problem, output)
+        return _run_check(config, spec, output)
     if command == "solve":
-        return _run_solve(config, problem, output)
-    return _run_converge(config, problem, output)
+        return _run_solve(config, spec, output)
+    return _run_converge(config, spec, output)
 
 
 def _grid_sizes(command: str, config: ProblemConfig | None, n: int | None) -> str:

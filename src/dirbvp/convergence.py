@@ -2,8 +2,9 @@
 
 A manufactured problem fixes the exact solution x*(t) first and builds
 the forcing v = x*'' - f(t, x*) symbolically, so refinement errors can
-be measured against a known answer.  For problems without a known
-solution a fine-grid solve stands in as the reference.
+be measured against a known answer; it is a ``ProblemSpec`` whose
+``x_star`` is set.  For problems without a known solution (``x_star``
+is None) a fine-grid solve stands in as the reference.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import BinOp, Expr, diff, evaluate, substitute, uses_var
+from .expr import BinOp, diff, evaluate, substitute, uses_var
 from .grid import grid_size
 from .problem import ProblemSpec, as_expr, make_spec
 from .solver import CONVERGED, SolverConfig, newton_solve
@@ -23,7 +24,6 @@ from .expr import parse  # noqa: F401
 __all__ = [
     "ConvergenceRow",
     "ConvergenceTable",
-    "ManufacturedProblem",
     "StudyError",
     "manufacture",
     "run_study",
@@ -53,14 +53,6 @@ class ConvergenceTable:
             raise ValueError("rows must have strictly increasing n")
 
 
-@dataclass(frozen=True)
-class ManufacturedProblem:
-    """A problem together with the expression of its exact solution."""
-
-    spec: ProblemSpec
-    x_star: Expr
-
-
 class StudyError(RuntimeError):
     """A refinement study aborted at grid size ``n``; carries the partial table."""
 
@@ -70,14 +62,15 @@ class StudyError(RuntimeError):
         self.n = n
 
 
-def manufacture(f, x_star, *, A: float, B: float, fx_lower: float) -> ManufacturedProblem:
+def manufacture(f, x_star, *, A: float, B: float, fx_lower: float) -> ProblemSpec:
     """Build a problem whose continuous solution is x_star by construction.
 
     x_star must be an expression in t alone, vanish at t = 0 and t = 1
     (within 1e-12), and be twice differentiable; the forcing becomes
     v = x_star'' - f(t, x_star(t)), composed symbolically.  x_star is
     differentiated twice in t and f once in x (by ``make_spec``; no f_x is
-    taken), so ``abs`` in either raises ``NonDifferentiableError``.
+    taken), so ``abs`` in either raises ``NonDifferentiableError``.  The
+    spec returned carries x_star.
     """
     f, x_star = as_expr(f, "f"), as_expr(x_star, "x_star")
     if uses_var(x_star, "x"):
@@ -90,8 +83,7 @@ def manufacture(f, x_star, *, A: float, B: float, fx_lower: float) -> Manufactur
             )
     x_star_dd = diff(diff(x_star, "t"), "t")
     v = BinOp("-", x_star_dd, substitute(f, "x", x_star))
-    spec = make_spec(f, v, A=A, B=B, fx_lower=fx_lower)
-    return ManufacturedProblem(spec=spec, x_star=x_star)
+    return replace(make_spec(f, v, A=A, B=B, fx_lower=fx_lower), x_star=x_star)
 
 
 def _solve_or_abort(spec, n, cfg, rows, problem_id, reference):
@@ -102,11 +94,13 @@ def _solve_or_abort(spec, n, cfg, rows, problem_id, reference):
     return rep.solution
 
 
-def run_study(problem, ns, cfg: SolverConfig | None = None, problem_id: str = "") -> ConvergenceTable:
+def run_study(
+    spec: ProblemSpec, ns, cfg: SolverConfig | None = None, problem_id: str = ""
+) -> ConvergenceTable:
     """Solve at each grid size and tabulate sup errors against the reference.
 
-    For a ManufacturedProblem the reference is the exact solution sampled
-    at the shared nodes; for a plain ProblemSpec it is a solve on a grid
+    When ``spec.x_star`` is set the reference is the exact solution
+    sampled at the shared nodes; when it is None it is a solve on a grid
     8x finer than max(ns), which every n must divide.  The empirical
     order between consecutive rows with doubled n is log2(e_n / e_2n).
     """
@@ -118,13 +112,9 @@ def run_study(problem, ns, cfg: SolverConfig | None = None, problem_id: str = ""
         raise ValueError("grid sizes must be distinct")
     cfg = replace(cfg, initial_guess=None) if cfg is not None else SolverConfig()
 
-    if isinstance(problem, ManufacturedProblem):
-        spec, x_star = problem.spec, problem.x_star
+    if spec.x_star is not None:
         reference = "manufactured"
-        ref_values = None
-        n_ref = None
     else:
-        spec, x_star = problem, None
         reference = "fine-grid"
         n_ref = _REF_FACTOR * max(ns)
         bad = [n for n in ns if n_ref % n]
@@ -135,8 +125,8 @@ def run_study(problem, ns, cfg: SolverConfig | None = None, problem_id: str = ""
     rows: list[ConvergenceRow] = []
     for n in ns:
         solution = _solve_or_abort(spec, n, cfg, rows, problem_id, reference)
-        if x_star is not None:
-            exact = evaluate(x_star, solution.nodes, 0.0)
+        if spec.x_star is not None:
+            exact = evaluate(spec.x_star, solution.nodes, 0.0)
         else:
             exact = ref_values[:: n_ref // n]
         sup_error = float(np.max(np.abs(exact - solution.values)))

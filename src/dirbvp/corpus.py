@@ -1,9 +1,10 @@
 """Problem declarations, their one builder, and the built-in corpus.
 
 A config file and a corpus entry declare a problem the same way, as a
-``ProblemConfig``.  The corpus constants were pinned by dense numerical
-scans over [0,1] x [-60, 60] with comfortable margins; the condition
-checkers re-falsify them in the test suite.
+``ProblemConfig``, built to a ``ProblemSpec`` that keeps any x_star.
+The corpus constants were pinned by dense numerical scans over
+[0,1] x [-60, 60] with comfortable margins; the condition checkers
+re-falsify them in the test suite.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convergence import ManufacturedProblem, manufacture
+from .convergence import manufacture
 from .expr import ExprError, NestingError, ParseError
 from .problem import ProblemSpec, as_expr, make_spec
 from .solver import SolverConfig
@@ -46,8 +47,8 @@ class ProblemConfig:
             raise ConfigError("a problem config takes no initial guess; pass it to newton_solve")
 
 
-def build_problem(config: ProblemConfig) -> ProblemSpec | ManufacturedProblem:
-    """Turn a config into a solvable problem, deriving v when x_star is given.
+def build_problem(config: ProblemConfig) -> ProblemSpec:
+    """Turn a config into a ProblemSpec, deriving v from x_star when it is given.
 
     Every failure to build, a non-differentiable f or x_star included, is
     a ``ConfigError``, and a syntax error names the field it is in; an
@@ -115,7 +116,7 @@ def names() -> list[str]:
     return list(ENTRIES)
 
 
-def build(name: str) -> ProblemSpec | ManufacturedProblem:
+def build(name: str) -> ProblemSpec:
     """Instantiate a corpus problem; manufactured entries carry their x_star."""
     try:
         entry = ENTRIES[name]

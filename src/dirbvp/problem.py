@@ -2,8 +2,9 @@
 
 A problem is the pair of expressions f(t, x) and v(t) together with
 user-declared constants: a growth bound |f(t,x)| <= A|x| + B and a lower
-bound on the partial derivative f_x.  The checks here sample those
-conditions on a grid and report violations; a clean report is
+bound on the partial derivative f_x, and for a manufactured problem the
+exact solution x*(t) that v was derived from.  The checks here sample
+those conditions on a grid and report violations; a clean report is
 falsification-based evidence, not a proof.
 """
 
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import EvalError, Expr, _blocks, diff, evaluate, parse, uses_var
+from .grid import is_integer
 
 __all__ = [
     "ProblemSpec",
@@ -36,7 +38,7 @@ _BLOCK_ROWS = 8
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Right-hand side f, its x-derivative, forcing v, and declared constants."""
+    """Right-hand side f, its x-derivative, forcing v, declared constants, and x*."""
 
     f: Expr
     fx: Expr
@@ -44,6 +46,7 @@ class ProblemSpec:
     declared_A: float
     declared_B: float
     declared_fx_lower: float
+    x_star: Expr | None = None  # the exact solution; None when it is not known
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,10 @@ def _sample_grids(x_range: float, samples_t: int, samples_x: int):
     # the grid spans 2*x_range, which must be a float too
     if not math.isfinite(2.0 * float(x_range)):
         raise ValueError(f"x_range must be finite and 2*x_range must not overflow, got {x_range!r}")
-    if samples_t < 2 or samples_x < 2:
-        raise ValueError("need at least two samples per axis")
+    if not (is_integer(samples_t) and is_integer(samples_x)) or min(samples_t, samples_x) < 2:
+        raise ValueError(
+            f"sample counts must be integers of at least 2, got {samples_t!r}, {samples_x!r}"
+        )
     t_grid = np.linspace(0.0, 1.0, samples_t)
     x_grid = np.linspace(-x_range, x_range, samples_x)
     return t_grid, x_grid

@@ -8,7 +8,7 @@ import pytest
 
 from dirbvp import corpus
 from dirbvp.cli import load_config, run
-from dirbvp.convergence import ManufacturedProblem, run_study
+from dirbvp.convergence import run_study
 from dirbvp.discrete_op import jacobian, phi_N, residual
 from dirbvp.expr import evaluate
 from dirbvp.grid import GridFunction, norms, random_element
@@ -22,10 +22,6 @@ from dirbvp.solver import (
 )
 
 STUDY_NS = (8, 16, 32, 64, 128)
-
-
-def _spec_of(problem):
-    return problem.spec if isinstance(problem, ManufacturedProblem) else problem
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +67,7 @@ def test_criterion_02_quadratic_exactness():
 
 
 def test_criterion_03_jacobian_and_merit_directional_derivatives():
-    spec = _spec_of(corpus.build("f1"))
+    spec = corpus.build("f1")
     rng = np.random.default_rng(103)
     n = 32
     eps = 1e-6
@@ -95,7 +91,7 @@ def test_criterion_03_jacobian_and_merit_directional_derivatives():
 
 def test_criterion_04_uniqueness_from_random_starts():
     for name, seed in (("f1", 104), ("f2", 204)):
-        spec = _spec_of(corpus.build(name))
+        spec = corpus.build(name)
         distance = multi_start_uniqueness(spec, 50, starts=5, amplitude=10.0, seed=seed)
         assert distance <= 1e-8
     print("criterion 4 (multi-start agreement <= 1e-8 for f1, f2): PASS")
@@ -103,7 +99,7 @@ def test_criterion_04_uniqueness_from_random_starts():
 
 def test_criterion_05_apriori_bound_across_corpus():
     for name in corpus.names():
-        spec = _spec_of(corpus.build(name))
+        spec = corpus.build(name)
         for n in (8, 16, 32, 64, 128, 256):
             report = newton_solve(spec, n)
             assert report.status == CONVERGED, f"{name} failed at N={n}"
@@ -141,7 +137,7 @@ def test_criterion_08_condition_falsifier():
     report = check_fx_lower(steep, x_range=10.0)
     assert report.violated and report.witnesses
 
-    f2 = _spec_of(corpus.build("f2"))
+    f2 = corpus.build("f2")
     assert f2.declared_fx_lower == float(np.exp(-np.pi) - 1.0)
     clean = check_fx_lower(f2, x_range=10.0)
     assert not clean.violated
@@ -153,7 +149,7 @@ def test_criterion_09_strict_convexity_oracle():
     n = 32
     checked = []
     for name in corpus.names():
-        spec = _spec_of(corpus.build(name))
+        spec = corpus.build(name)
         if spec.declared_fx_lower <= -1.0:
             continue
         checked.append(name)

@@ -12,7 +12,7 @@ import pytest
 from dirbvp import cli, corpus
 from dirbvp import problem as problem_module
 from dirbvp.cli import ConfigError, ProblemConfig, build_problem, load_config, main, run
-from dirbvp.convergence import ManufacturedProblem, run_study
+from dirbvp.convergence import run_study
 from dirbvp.expr import EvalError, evaluate
 from dirbvp.grid import GridFunction, random_element
 from dirbvp.solver import SolverConfig, newton_solve
@@ -73,7 +73,7 @@ def test_load_config_flat(tmp_path):
     assert config.A == 0.1 and config.B == 0.5 and config.fx_lower == -0.25
     assert config.n == 20 and config.ns == (4, 8, 16)
     assert config.solver == SolverConfig()
-    assert not isinstance(build_problem(config), ManufacturedProblem)
+    assert build_problem(config).x_star is None
     config = load_config(write(tmp_path, F1_CONFIG + "tol = 1e-8\nmax_iter = 7\n"))
     assert config.solver == SolverConfig(tol=1e-8, max_iter=7)
     # a starting guess belongs to one solve at one N, not to the problem
@@ -209,6 +209,23 @@ def test_json_numbers_are_not_coerced(tmp_path, capsys, field, value):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("field", ["name", "f", "v", "x_star"])
+@pytest.mark.parametrize("value", [None, False, 2, ["a"]])
+def test_json_text_fields_are_not_coerced(tmp_path, capsys, field, value):
+    # str() would make a null x_star the text "None", and a null name the name None
+    payload = {"f": "(t + sin(x))/(2*x^2 + 4)", "A": 0.1, "B": 0.5, "fx_lower": -0.25, "N": 20}
+    payload.update({"x_star": "sin(pi*t)"} if field == "x_star" else {"v": "1"})
+    payload[field] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    message = f"field '{field}': expected a string, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(path)
+    assert main(["solve", "--config", str(path), "--output", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tol_is_a_config_error(tmp_path, capsys, value):
     path = write(tmp_path, F1_CONFIG + f"tol = {value}\n")
@@ -260,8 +277,7 @@ def test_solve_csv_matches_per_row_format(tmp_path, capsys, text):
     n = 3 * 4096
     assert cli._CSV_BLOCK_ROWS == 4096
     config = load_config(write(tmp_path, re.sub(r"(?m)^N = \d+$", f"N = {n}", text)))
-    problem = build_problem(config)
-    spec = problem.spec if isinstance(problem, ManufacturedProblem) else problem
+    spec = build_problem(config)
     solution = newton_solve(spec, n).solution
     expected = "".join(
         ["k,t,x\n"] + [f"{k},{format(float(t), '.17g')},{format(float(x), '.17g')}\n"

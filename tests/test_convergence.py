@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from dirbvp.convergence import (
 )
 from dirbvp.expr import NonDifferentiableError, evaluate
 from dirbvp.grid import GridFunction
-from dirbvp.problem import make_spec
+from dirbvp.problem import ProblemSpec, make_spec
 from dirbvp.solver import multi_start_uniqueness, newton_solve
 
 F1 = "(t + sin(x))/(2*x^2 + 4)"
@@ -20,7 +22,7 @@ F1 = "(t + sin(x))/(2*x^2 + 4)"
 def test_manufacture_quadratic_forcing():
     problem = manufacture("0", "t^2 - t", A=0.1, B=0.1, fx_lower=0.0)
     for t in np.linspace(0, 1, 21):
-        np.testing.assert_allclose(evaluate(problem.spec.v, t, 0.0), 2.0, rtol=1e-15)
+        np.testing.assert_allclose(evaluate(problem.v, t, 0.0), 2.0, rtol=1e-15)
 
 
 def test_manufacture_linear_f_forcing():
@@ -28,7 +30,7 @@ def test_manufacture_linear_f_forcing():
     problem = manufacture("x", "sin(pi*t)", A=1.1, B=0.1, fx_lower=0.9)
     for t in np.linspace(0, 1, 21):
         expected = -(np.pi**2) * np.sin(np.pi * t) - np.sin(np.pi * t)
-        np.testing.assert_allclose(evaluate(problem.spec.v, t, 0.0), expected, atol=1e-12)
+        np.testing.assert_allclose(evaluate(problem.v, t, 0.0), expected, atol=1e-12)
 
 
 def test_manufacture_rejects_bad_boundary():
@@ -80,6 +82,17 @@ def test_run_study_fine_grid_reference():
     assert table.reference == "fine-grid"
     errors = [row.sup_error for row in table.rows]
     assert all(b < a for a, b in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_reference_follows_x_star(name):
+    spec = corpus.build(name)
+    assert isinstance(spec, ProblemSpec)
+    assert (spec.x_star is not None) == (name in ("quadratic", "zero", "f1_sin"))
+    if spec.x_star is not None:
+        assert run_study(spec, [8, 16]).reference == "manufactured"
+    # without x_star the same problem is studied against a finer grid
+    assert run_study(replace(spec, x_star=None), [8, 16]).reference == "fine-grid"
 
 
 def test_derivative_bound_quadratic_closed_form():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from dirbvp import corpus
 from dirbvp import expr as expr_module
-from dirbvp.convergence import ManufacturedProblem
 from dirbvp.expr import (
     BinOp,
     Call,
@@ -844,8 +843,7 @@ _CORPUS_STEPS = {
 
 @pytest.mark.parametrize("name", corpus.names())
 def test_corpus_program_sizes(name):
-    problem = corpus.build(name)
-    spec = getattr(problem, "spec", problem)
+    spec = corpus.build(name)
     steps = tuple(len(tree._program.steps) for tree in (spec.f, spec.fx, spec.v))
     assert steps == _CORPUS_STEPS[name]
 
@@ -959,10 +957,9 @@ def test_diff_is_the_full_rules_on_every_operation_of_two_leaves(op, derivative)
 
 def test_corpus_derivative_programs_add_and_multiply_no_zero():
     for name in corpus.names():
-        problem = corpus.build(name)
-        spec = getattr(problem, "spec", problem)
+        spec = corpus.build(name)
         trees = {"fx": spec.fx}
-        if isinstance(problem, ManufacturedProblem):
+        if spec.x_star is not None:
             trees["v"] = spec.v
         for label, tree in trees.items():
             program = tree._program
@@ -990,8 +987,7 @@ def _instructions(tree):
 def test_corpus_programs_use_only_the_fixed_instructions():
     used = set()
     for name in corpus.names():
-        problem = corpus.build(name)
-        spec = getattr(problem, "spec", problem)
+        spec = corpus.build(name)
         for tree in (spec.f, spec.fx, spec.v):
             used |= _instructions(tree)
     assert used <= _INSTRUCTIONS

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dirbvp import corpus
 from dirbvp import expr as expr_module
 from dirbvp import problem as problem_module
-from dirbvp.convergence import ManufacturedProblem, manufacture
+from dirbvp.convergence import manufacture
 from dirbvp.expr import BinOp, Call, EvalError, Neg, Num, Var, evaluate, parse
 from dirbvp.problem import (
     _BLOCK_ROWS,
@@ -69,8 +69,7 @@ def test_builders_take_only_expressions(build, f, g, name):
 @pytest.mark.parametrize("name", sorted(corpus.ENTRIES))
 def test_corpus_fx_matches_finite_differences(name):
     # make_spec trusts the symbolic f_x; check it against centred differences
-    problem = corpus.build(name)
-    spec = problem.spec if isinstance(problem, ManufacturedProblem) else problem
+    spec = corpus.build(name)
     step = 1e-6
     checked = 0
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -423,6 +422,12 @@ def test_check_rejects_bad_sampling():
     spec = make_spec("0", "0", A=0.3, B=0.2, fx_lower=-0.5)
     with pytest.raises(ValueError):
         check_growth(spec, x_range=-1.0)
+    # numpy's linspace would raise a TypeError for a float count
+    bad_counts = ({"samples_t": 3.0}, {"samples_x": 5.5}, {"samples_t": True}, {"samples_x": 1})
+    for check in (check_growth, check_fx_lower):
+        for counts in bad_counts:
+            with pytest.raises(ValueError, match="^sample counts must be integers of at least 2"):
+                check(spec, 2.0, **counts)
 
 
 def test_classify_examples():

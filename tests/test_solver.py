@@ -251,7 +251,7 @@ def assert_matches_reference(spec, n, cfg=None):
 
 def test_newton_solve_matches_reference_bitwise():
     sizes = list(range(2, 34)) + [50, 64, 100, 127, 256, 500, 1000, 1024, 4096]
-    specs = [getattr(p, "spec", p) for p in map(corpus.build, corpus.names())]
+    specs = [corpus.build(name) for name in corpus.names()]
     statuses = set()
     backtracked = False
     for spec in specs + [CUBIC, SQRT]:

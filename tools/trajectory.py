@@ -92,8 +92,7 @@ def environment() -> dict:
 
 def layers(name: str, n: int, repeat: int) -> dict:
     """newton_solve from zero, then each layer at the solution it returns."""
-    problem = corpus.build(name)
-    spec = getattr(problem, "spec", problem)
+    spec = corpus.build(name)
     report = solver.newton_solve(spec, n)
     row = {
         "problem": name,
@@ -133,8 +132,7 @@ def layers(name: str, n: int, repeat: int) -> dict:
 
 def check_row(name: str, repeat: int) -> dict:
     """``check``'s two scans of one corpus problem, and its f and f_x steps by what they read."""
-    built = corpus.build(name)
-    spec = getattr(built, "spec", built)
+    spec = corpus.build(name)
     x_range = cli._sample_range(spec)
     steps = {}
     for key, tree in (("f", spec.f), ("fx", spec.fx)):
