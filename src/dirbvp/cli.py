@@ -86,7 +86,9 @@ def _integer(value) -> int:
 
 def _parse_ns(value) -> tuple[int, ...]:
     if isinstance(value, str):
-        parts = [part.strip() for part in value.split(",") if part.strip()]
+        parts = [part.strip() for part in value.split(",")] if value.strip() else []
+        if "" in parts:
+            raise ValueError(f"empty entry in the list {value!r}")
     else:
         parts = list(value)
     try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import BinOp, diff, evaluate, substitute, uses_var
+from .expr import _sub, diff, evaluate, substitute, uses_var
 from .grid import grid_size
 from .problem import ProblemSpec, as_expr, make_spec
 from .solver import CONVERGED, SolverConfig, newton_solve
@@ -67,7 +67,8 @@ def manufacture(f, x_star, *, A: float, B: float, fx_lower: float) -> ProblemSpe
 
     x_star must be an expression in t alone, vanish at t = 0 and t = 1
     (within 1e-12), and be twice differentiable; the forcing becomes
-    v = x_star'' - f(t, x_star(t)), composed symbolically.  x_star is
+    v = x_star'' - f(t, x_star(t)), composed symbolically by diff's rule for
+    a difference, so a zero x_star'' gives v = -f(t, x_star(t)).  x_star is
     differentiated twice in t and f once in x (by ``make_spec``; no f_x is
     taken), so ``abs`` in either raises ``NonDifferentiableError``.  The
     spec returned carries x_star.
@@ -82,7 +83,7 @@ def manufacture(f, x_star, *, A: float, B: float, fx_lower: float) -> ProblemSpe
                 f"x_star({endpoint}) = {value} violates the zero boundary condition"
             )
     x_star_dd = diff(diff(x_star, "t"), "t")
-    v = BinOp("-", x_star_dd, substitute(f, "x", x_star))
+    v = _sub(x_star_dd, substitute(f, "x", x_star))
     return replace(make_spec(f, v, A=A, B=B, fx_lower=fx_lower), x_star=x_star)
 
 

@@ -328,11 +328,10 @@ class _Program:
     operation by its function and operand numbers.  An operation runs
     once per evaluation, at the first place in the walk where its number
     is made, so equal subtrees run once and values and errors are those of
-    the walk.  An operation on constants becomes its value unless
-    computing it traps, and y^1.0 is y by binary powering; every other
-    operation runs, y*1.0 and 0.0*y among them.  A malformed tree (an
-    unknown operator or a variable exponent) raises EvalError here,
-    before any arithmetic.
+    the walk.  Compiling does no arithmetic: every operation runs, 2*3 as
+    y*1.0 and 0.0*y do, and y^1.0 is y by binary powering.  A malformed
+    tree (an unknown operator or a variable exponent) raises EvalError
+    here.
 
     With each number the walk records what its value reads: 1 for t, 2
     for x, 3 for both and 0 for neither, the OR of its operands'.  ``reads[s]`` is
@@ -362,15 +361,6 @@ class _Program:
             return n
 
         def operation(function, a, b=None):
-            if type(values[a]) is np.float64 and (b is None or type(values[b]) is np.float64):
-                env = [values[a], None if b is None else values[b], None]
-                try:
-                    _execute(((function, 0, None if b is None else 1, 2),), env)
-                except EvalError:
-                    pass
-                else:
-                    if type(env[2]) is np.float64:
-                        return number(env[2])
             return number((function, a, b), reads[a] | (0 if b is None else reads[b]))
 
         def power(base, c):

@@ -231,9 +231,9 @@ def classify(spec: ProblemSpec) -> TheoremClassification:
 
 
 def apriori_bound(spec: ProblemSpec, v_sup: float) -> float:
-    """Uniform bound M = (sup|v| + B) / (1 - A) on every discrete solution."""
-    if v_sup < 0.0:
-        raise ValueError("v_sup must be nonnegative")
+    """Uniform bound M = (sup|v| + B) / (1 - A) on every discrete solution; v_sup >= 0 is finite."""
+    if not 0.0 <= v_sup < math.inf:
+        raise ValueError(f"v_sup must be finite and nonnegative, got {v_sup}")
     if spec.declared_A >= 1.0:
         raise ValueError("a-priori bound undefined: requires declared_A < 1")
     return (v_sup + spec.declared_B) / (1.0 - spec.declared_A)

@@ -179,6 +179,23 @@ def test_load_config_validates_ns(tmp_path):
         load_config(write(tmp_path, F1_CONFIG.replace("Ns = 4,8,16", "Ns = 4,1,16")))
 
 
+@pytest.mark.parametrize("ns", ["8,,16", "8,16,", ",8", "8, ,16"])
+def test_empty_ns_entry_is_an_error(tmp_path, capsys, ns):
+    # an empty entry is not dropped: the list would run other grids than written
+    path = write(tmp_path, F1_CONFIG.replace("Ns = 4,8,16", f"Ns = {ns}"))
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: field 'Ns': empty entry in the list {ns!r}\n"
+    path = write(tmp_path, F1_CONFIG)
+    assert main(["converge", "--config", str(path), "--ns", ns, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: option '--ns': empty entry in the list {ns!r}\n"
+    # an empty value is an empty list
+    for empty in ("", " "):
+        assert main(["converge", "--config", str(path), "--ns", empty, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: option '--ns': list is empty\n"
+    assert not out.exists()
+
+
 def test_configs_declare_the_corpus():
     paths = sorted(CONFIGS.glob("*.txt"))
     assert sorted(path.stem for path in paths) == sorted(corpus.ENTRIES)

@@ -1,3 +1,4 @@
+import functools
 import math
 import operator
 import os
@@ -720,8 +721,8 @@ def test_evaluate_result_is_never_an_input(source, reference, t, x):
 
 
 # Trees of the _trees kind that also hold identity constants (1.0, signed
-# zeros, and the exponent 1.0, which the compiler folds) and subtrees shared
-# by identity, as diff builds them.
+# zeros, and the exponent 1.0, which binary powering makes free) and subtrees
+# shared by identity, as diff builds them.
 _fold_leaves = _leaves | st.sampled_from([Num(1.0), Num(-1.0), Num(-0.0)])
 _shared_trees = st.recursive(
     _fold_leaves,
@@ -756,7 +757,7 @@ def _grid(t, *xs):
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(expr=_shared_trees, grid=_grids)
-# identities keep the sign of zero: y*1.0 and its kin run, y^1.0 folds
+# identities keep the sign of zero: y*1.0 and its kin run, y^1.0 is y
 @example(expr=parse("x*1.0"), grid=_grid([0.5], [-0.0], [2.0]))
 @example(expr=parse("1.0*x"), grid=_grid([0.5], [-0.0], [2.0]))
 @example(expr=parse("x/1.0"), grid=_grid([0.5], [-0.0], [2.0]))
@@ -766,8 +767,12 @@ def _grid(t, *xs):
 @example(expr=parse("0.0*x + 0.0"), grid=_grid([0.5, 0.25], [-0.0, -3.0], [0.0, 1.0]))
 # no fold: y*0.0 still traps where y overflows
 @example(expr=parse("exp(x)*0.0"), grid=_grid([0.5], [1000.0], [1.0]))
-# a constant that traps is not folded and raises at each evaluation
+# operations on constants run at each evaluation, with the walk's bits and errors
 @example(expr=parse("1e200*1e200 + x"), grid=_grid([0.5], [1.0], [2.0]))
+@example(expr=parse("2*3 + x"), grid=_grid([0.5], [-0.0], [2.0]))
+@example(expr=parse("x*(-1.0)"), grid=_grid([0.5], [0.0], [-0.0]))
+@example(expr=parse("(0.1 + 0.2)*x"), grid=_grid([0.5], [1.0], [3.0]))
+@example(expr=parse("sqrt(0 - 1) + x"), grid=_grid([0.5], [1.0], [2.0]))
 # an x-free term that fails, then one that succeeds
 @example(expr=parse("sqrt(t - 0.5)*x"), grid=_grid([0.25, 0.75], [1.0, 2.0], [3.0, 4.0]))
 @example(expr=parse("sqrt(t - 0.5)*x"), grid=_grid([0.75, 1.0], [1.0, 2.0], [3.0, 4.0]))
@@ -787,17 +792,43 @@ def test_bound_evaluation_matches_evaluate_and_the_walk(expr, grid):
 @pytest.mark.parametrize(
     "source, steps",
     [
-        # folds that keep every bit: constants, and y^1.0 by binary powering
-        ("x^1.0", 0), ("x^(3 - 2)", 0), ("2*3 + x", 1),
+        # y^1.0 is y by binary powering; the parser computes a constant exponent
+        ("x^1.0", 0), ("x^(3 - 2)", 0),
+        # operations on constants run, as at each evaluation of the walk
+        ("2*3 + x", 2), ("(2*3 - 5)*x", 3), ("x-(-0.0)", 2), ("x*(-1.0)", 2),
+        ("1/0 + x", 2), ("1e200*1e200 + x", 2),
         # no identity fold: diff builds none of these, so each runs
-        ("x*1.0", 1), ("1.0*x", 1), ("x/1.0", 1), ("x-0.0", 1), ("(2*3 - 5)*x", 1),
+        ("x*1.0", 1), ("1.0*x", 1), ("x/1.0", 1), ("x-0.0", 1),
         # no fold: the sign of zero, a negative zero, or a trap would change
         ("0.0*x", 1), ("x*0.0", 1), ("x+0.0", 1), ("0.0+x", 1), ("0.0-x", 1),
-        ("x-(-0.0)", 1), ("x*(-1.0)", 1), ("1/0 + x", 2), ("1e200*1e200 + x", 2),
     ],
 )
 def test_compiled_program_folds_only_what_keeps_every_bit(source, steps):
     assert len(parse(source)._program.steps) == steps
+
+
+@functools.cache
+def _corpus_trees():
+    # f, f_x and v of each corpus problem: 18 trees
+    specs = [corpus.build(name) for name in corpus.names()]
+    return [tree for spec in specs for tree in (spec.f, spec.fx, spec.v)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(expr=_shared_trees)
+@example(expr=parse("2*3 + x"))
+def test_compiling_runs_no_arithmetic(expr):
+    trees = (expr, *_corpus_trees())  # built, with their evaluations, before the count
+    calls = []
+
+    def execute(steps, env):
+        calls.append(steps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr_module, "_execute", execute)
+        for tree in trees:
+            expr_module._Program(tree)
+    assert calls == []
 
 
 def test_shared_subtree_runs_once_per_evaluation():
@@ -806,7 +837,7 @@ def test_shared_subtree_runs_once_per_evaluation():
     # A walk over fx, which diff builds without zero terms or factors of
     # 1.0, runs 17 operations.  The program skips the second run of the
     # three in 2*x^2 + 4, which diff shares between two places, and x^1.0
-    # folds away.
+    # is x by binary powering.
     assert len(fx._program.steps) == 17 - 3 - 1
     u = parse("2*x^2 + 4")
     assert len(BinOp("/", u, BinOp("^", u, Num(2.0)))._program.steps) == 3 + 2
@@ -821,9 +852,11 @@ def test_equal_subtrees_run_once_per_evaluation():
 
 
 def test_constants_are_equal_only_bit_for_bit():
-    # 0.0 == -0.0, but x*0.0 and x*(-0.0) differ at x = -1: two products
+    # 0.0 == -0.0, but x*0.0 and x*(-0.0) differ at x = -1: two products,
+    # the negation of 0.0 and the sum
     tree = parse("x*0.0 + x*(-0.0)")
-    assert len(tree._program.steps) == 3
+    assert [function for function, *_ in tree._program.steps].count(operator.mul) == 2
+    assert len(tree._program.steps) == 4
     got = evaluate(tree, 0.0, -1.0)
     expected = _walk_evaluate(tree, 0.0, -1.0)
     assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
@@ -833,7 +866,7 @@ def test_constants_are_equal_only_bit_for_bit():
 # The step counts of f, f_x and v of each corpus problem
 _CORPUS_STEPS = {
     "quadratic": (0, 0, 0),
-    "zero": (2, 3, 0),
+    "zero": (2, 4, 3),
     "f1": (6, 13, 0),
     "f1_sin": (6, 13, 12),
     "f2": (7, 6, 0),

@@ -465,8 +465,10 @@ def test_apriori_bound():
     at_one = make_spec("0", "0", A=1.0, B=0.5, fx_lower=0.0)
     with pytest.raises(ValueError):
         apriori_bound(at_one, 1.0)
-    with pytest.raises(ValueError):
-        apriori_bound(spec, -1.0)
+    # the bound of a nonnegative finite sup|v|, else no bound
+    for bad in (-1.0, -np.inf, np.nan, np.inf):
+        with pytest.raises(ValueError, match="v_sup must be finite and nonnegative"):
+            apriori_bound(spec, bad)
 
 
 def test_condition_report_invariant():
