@@ -95,16 +95,15 @@ def residual(spec: ProblemSpec, x: GridFunction) -> Residual:
     """
     t = _interior_nodes(x.n)
     v_vals = evaluate(spec.v, t, 0.0)
-    vector, norm = _residual(spec.f, t, v_vals, x.values)
+    vector, norm = _residual(evaluate(spec.f, t, x.interior), v_vals, x.values)
     return Residual(vector=vector, norm=norm)
 
 
-def _residual(f, t, v_vals, values) -> tuple[np.ndarray, float]:
+def _residual(f_vals, v_vals, values) -> tuple[np.ndarray, float]:
     # ``residual`` of all N+1 grid values (zero ends) as (vector, norm), given
-    # the tree f, the interior nodes t and v there.  The norm sums the squares,
-    # written over second_diff, by numpy's pairwise reduction: BLAS ddot's
-    # last bit depends on its thread count
-    f_vals = evaluate(f, t, values[1:-1])
+    # f and v at the interior nodes.  The norm sums the squares, written over
+    # second_diff, by numpy's pairwise reduction: BLAS ddot's last bit depends
+    # on its thread count
     second_diff = values[2:] - 2.0 * values[1:-1] + values[:-2]
     vector = second_diff - (f_vals + v_vals) / (values.size - 1) ** 2
     return vector, math.sqrt(np.add.reduce(np.multiply(vector, vector, out=second_diff)))
@@ -112,12 +111,12 @@ def _residual(f, t, v_vals, values) -> tuple[np.ndarray, float]:
 
 def jacobian(spec: ProblemSpec, x: GridFunction) -> Tridiagonal:
     """Derivative of the operator at x: tridiag(1, -2 - f_x(k/N, x(k))/N^2, 1)."""
-    return _jacobian(spec.fx, _interior_nodes(x.n), x.values)
+    return _jacobian(evaluate(spec.fx, _interior_nodes(x.n), x.interior))
 
 
-def _jacobian(fx, t, values) -> Tridiagonal:
-    # ``jacobian`` at all N+1 grid values, given the tree f_x and the interior nodes t
-    return Tridiagonal(diag=-2.0 - evaluate(fx, t, values[1:-1]) / (values.size - 1) ** 2)
+def _jacobian(fx_vals) -> Tridiagonal:
+    # ``jacobian`` given f_x at the N-1 interior nodes
+    return Tridiagonal(diag=-2.0 - fx_vals / (fx_vals.size + 1) ** 2)
 
 
 def solve_tridiagonal(matrix: Tridiagonal, rhs) -> np.ndarray:

@@ -19,11 +19,14 @@ of normal form.
 A tree is evaluated by a program of numpy steps, made on its first
 evaluation by one walk over it that numbers each value: t, x, a constant
 by its bits, and an operation by its function and operand numbers.  An
-operation runs once per evaluation however often the tree holds it.
+operation runs once per evaluation however often the tree holds it.  One
+program can also hold several trees, such as f and f_x, which then share
+their common operations and run one after another at a point.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -268,19 +271,36 @@ def _operand(value):
     return np.float64(value)
 
 
-def _execute(steps, env):
-    """Run ``steps`` on the list of values ``env``, trapping every flag but underflow.
+def _finite(value):
+    """``value`` as a numpy operand; EvalError unless every element is finite."""
+    value = _operand(value)
+    if np.count_nonzero(np.isfinite(value)) < value.size:
+        raise EvalError("non-finite input")
+    return value
+
+
+# The floating-point traps of an evaluation: every flag but underflow.  From
+# finite inputs and constants only an operation that sets the overflow,
+# invalid or divide-by-zero flag yields inf or NaN.
+_TRAPS = {"divide": "raise", "over": "raise", "invalid": "raise", "under": "ignore"}
+
+
+def _run(steps, env):
+    """Run ``steps`` on the list of values ``env``, under the caller's traps.
 
     A step (function, i, j, k) sets env[k] to function(env[i]), or to
-    function(env[i], env[j]) when j is not None.  From finite inputs and
-    constants only an operation that sets the overflow, invalid or
-    divide-by-zero flag yields inf or NaN.  Every operand is numpy:
+    function(env[i], env[j]) when j is not None.  Every operand is numpy:
     Python-float arithmetic sets no flags.
     """
+    for function, i, j, k in steps:
+        env[k] = function(env[i]) if j is None else function(env[i], env[j])
+
+
+def _execute(steps, env):
+    """Run ``steps`` on ``env`` under _TRAPS; a trapped flag raises EvalError."""
     try:
-        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-            for function, i, j, k in steps:
-                env[k] = function(env[i]) if j is None else function(env[i], env[j])
+        with np.errstate(**_TRAPS):
+            _run(steps, env)
     except FloatingPointError as exc:
         raise EvalError(f"non-finite result: {exc}") from exc
 
@@ -321,9 +341,9 @@ _CALLS = {
 
 
 class _Program:
-    """The steps that evaluate one tree, in the order of a walk over it.
+    """The steps that evaluate one or more trees, in the order of a walk over them.
 
-    One pass over the tree numbers its values (Cocke and Schwartz, 1970):
+    One pass over the trees numbers their values (Cocke and Schwartz, 1970):
     t is 0 and x is 1, a constant is numbered by its bits, and an
     operation by its function and operand numbers.  An operation runs
     once per evaluation, at the first place in the walk where its number
@@ -340,9 +360,16 @@ class _Program:
     Values live in a list: t, x, the result, then the constants and the
     other results.  A result holds its slot from its operation to its
     last user, and other results use the slot outside that span.
+
+    The roots are walked in turn with one numbering, so a root's steps
+    follow those of the roots before it, and it runs only the operations
+    they do not.  ``roots`` holds, per root, its result slot, what it
+    reads, the number of steps that complete it, and the slots of the
+    results that no later root reads.  No step after a root's operation
+    reuses its slot.  ``result`` and ``result_reads`` are the first root's.
     """
 
-    def __init__(self, root):
+    def __init__(self, *roots):
         # by number: None for t and x, a constant (np.float64), or an
         # operation (function, a, b) on the numbers a and b, b None if unary
         values = [None, None]
@@ -412,7 +439,8 @@ class _Program:
             walked[id(node)] = n
             return n
 
-        result = _walk(walk, root)
+        # each root's number, and how many values are numbered once it is walked
+        walks = [(_walk(walk, root), len(values)) for root in roots]
         template = [None, None]
         slots = {0: 0, 1: 1}
         free = []
@@ -429,10 +457,10 @@ class _Program:
                     template.append(value if type(value) is np.float64 else None)
             return slots[n]
 
-        self.result = slot(result)
-        self.result_reads = reads[result]
+        # The roots take their slots first, as at a use after the last step.
         # Backwards from the last operation: a result takes a slot at its
         # last use and gives it up at its own operation, to those before.
+        results = [slot(n) for n, _ in walks]
         steps = []
         for n in range(len(values) - 1, 1, -1):
             if type(values[n]) is tuple:
@@ -445,6 +473,23 @@ class _Program:
         self.template = template
         self.steps = steps
         self.reads = [reads[n] for n in range(2, len(values)) if type(values[n]) is tuple]
+        # the steps of the operations numbered before each root's end
+        operations = [n for n in range(2, len(values)) if type(values[n]) is tuple]
+        ends = [bisect.bisect_left(operations, made) for _, made in walks]
+        # Backwards over the roots: live holds the slots of the results that
+        # the roots after k read from before their steps.
+        self.roots = []
+        live = set()
+        for k in reversed(range(len(roots))):
+            dead = [s for s in range(2, len(template)) if template[s] is None and s not in live]
+            self.roots.append((results[k], reads[walks[k][0]], ends[k], dead))
+            if k:
+                live.add(results[k])
+                for _, i, j, out in reversed(steps[ends[k - 1] : ends[k]]):
+                    live.discard(out)
+                    live.update((i,) if j is None else (i, j))
+        self.roots.reverse()
+        self.result, self.result_reads = self.roots[0][:2]
 
 
 def evaluate(expr: Expr, t=0.0, x=0.0):
@@ -458,17 +503,19 @@ def evaluate(expr: Expr, t=0.0, x=0.0):
     evaluation and its compiled form is kept on the tree; each call runs
     the whole program and keeps nothing between calls.
     """
-    t = _operand(t)
-    x = _operand(x)
-    if np.count_nonzero(np.isfinite(t)) < t.size or np.count_nonzero(np.isfinite(x)) < x.size:
-        raise EvalError("non-finite input")
+    t = _finite(t)
+    x = _finite(x)
     program = expr._program
     shape = np.broadcast(t, x).shape
     env = program.template.copy()
     env[0] = t
     env[1] = x
     _execute(program.steps, env)
-    result = env[program.result]
+    return _shaped(env[program.result], shape, t, x)
+
+
+def _shaped(result, shape, t, x):
+    """A result at (t, x) as evaluate returns it: a float, or an array of ``shape``, theirs."""
     if shape == ():
         return float(result)
     # A fresh full-shape array is the caller's alone; an input, a scalar or
@@ -479,6 +526,36 @@ def evaluate(expr: Expr, t=0.0, x=0.0):
     out = np.empty(shape)
     np.copyto(out, result)  # keeps -0.0, as a copy does
     return out
+
+
+def _point(program, t, x):
+    """``program``'s values at (t, x) before its first step, for ``_root`` to run.
+
+    t and x are numpy operands.  x must be finite, as in evaluate; t is not
+    checked here, but once by the caller for all the points that share it.
+    """
+    env = program.template.copy()
+    env[0] = t
+    env[1] = _finite(x)
+    return env
+
+
+def _root(program, env, k):
+    """Root k of ``program`` at the point of ``env``, as evaluate gives it.
+
+    Roots 0..k-1 must have run on env.  This runs only the steps that root
+    k adds to theirs, under the caller's traps (evaluate's are _TRAPS), so
+    a trapped flag raises FloatingPointError.  It then drops from env the
+    results that no later root reads.  Where two roots are one value, they
+    are given as one array.
+    """
+    result, _, end, dead = program.roots[k]
+    _run(program.steps[program.roots[k - 1][2] if k else 0 : end], env)
+    t, x = env[0], env[1]
+    value = _shaped(env[result], np.broadcast(t, x).shape, t, x)
+    for slot in dead:
+        env[slot] = None
+    return value
 
 
 def _blocks(expr: Expr, t: np.ndarray, x: np.ndarray):

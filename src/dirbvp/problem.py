@@ -10,12 +10,13 @@ falsification-based evidence, not a proof.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalError, Expr, _blocks, diff, evaluate, parse, uses_var
+from .expr import EvalError, Expr, _blocks, _Program, diff, evaluate, parse, uses_var
 from .grid import is_integer
 
 __all__ = [
@@ -47,6 +48,12 @@ class ProblemSpec:
     declared_B: float
     declared_fx_lower: float
     x_star: Expr | None = None  # the exact solution; None when it is not known
+
+    @functools.cached_property
+    def _program(self):
+        # f and then f_x as one program, as Newton runs them at each point;
+        # compiled on the first solve and kept on the spec
+        return _Program(self.f, self.fx)
 
 
 @dataclass(frozen=True)

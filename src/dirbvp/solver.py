@@ -24,7 +24,7 @@ from .discrete_op import (
     residual,
     solve_tridiagonal,
 )
-from .expr import EvalError, evaluate
+from .expr import _TRAPS, EvalError, _finite, _point, _root, evaluate
 from .grid import GridFunction, grid_size, is_integer, random_element
 from .problem import ProblemSpec
 
@@ -47,6 +47,11 @@ EVAL_ERROR = "eval_error"
 _ARMIJO_C = 1e-4
 _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 1e-14
+# What a point that cannot be evaluated raises: EvalError from f or f_x, and
+# FloatingPointError from Newton's own arithmetic, which runs under evaluate's
+# traps, so a residual, a norm or a trial point that overflows is one.  A
+# finite norm has a finite square, so the merit is then finite too.
+_UNEVALUABLE = (EvalError, FloatingPointError)
 
 
 class SolverError(RuntimeError):
@@ -94,6 +99,13 @@ def newton_solve(spec: ProblemSpec, n: int, cfg: SolverConfig | None = None) -> 
     The step h solves J h = -residual; Armijo backtracking on the merit
     guards each update.  Iteration stops once the residual norm falls
     below tol * (1 + sup|v| * sqrt(n) / n^2).
+
+    f and f_x run as one program, compiled on the spec's first solve: f's
+    steps at the start and at every trial point, and f_x's steps only at
+    the accepted point, on the values of f's steps there.  So a trial fails
+    only on f, and an f_x that fails ends the solve with status eval_error.
+    A tree that cannot be compiled, nested too deeply or malformed, ends it
+    at the start, with eval_error and no residual norm.
     """
     cfg = cfg or SolverConfig()
     if cfg.initial_guess is None:
@@ -117,48 +129,55 @@ def newton_solve(spec: ProblemSpec, n: int, cfg: SolverConfig | None = None) -> 
     # t_k and v(t_k) are fixed for the solve; scaling tol by the size of v
     # keeps the stopping test from getting harsher on finer grids, as
     # residuals carry a 1/N^2 factor.
-    t = _interior_nodes(n)
-    try:
-        v_vals = evaluate(spec.v, t, 0.0)
-        threshold = cfg.tol * (1.0 + float(np.max(np.abs(v_vals))) * math.sqrt(n) / n**2)
-        r, r_norm = _residual(spec.f, t, v_vals, values)
-    except EvalError:
-        return report(EVAL_ERROR, values, math.nan, 0)
-
-    # the line-search point; the iterate and it swap when it is accepted
-    trial = np.zeros(n + 1)
-    iterations = 0
-    while r_norm > threshold:
-        if iterations >= cfg.max_iter:
-            return report(MAX_ITER, values, r_norm, iterations)
+    with np.errstate(**_TRAPS):
         try:
-            # r is not used again, so it is negated in place
-            step = solve_tridiagonal(_jacobian(spec.fx, t, values), np.negative(r, out=r))
-        except SingularJacobianError:
-            return report(SINGULAR_JACOBIAN, values, r_norm, iterations)
-        except EvalError:
-            return report(EVAL_ERROR, values, r_norm, iterations)
+            program = spec._program
+            t = _finite(_interior_nodes(n))  # checked once, for every point
+            v_vals = evaluate(spec.v, t, 0.0)
+            threshold = cfg.tol * (1.0 + float(np.max(np.abs(v_vals))) * math.sqrt(n) / n**2)
+            # the values of f's steps at the iterate, as far as f_x's steps read them
+            point = _point(program, t, values[1:-1])
+            r, r_norm = _residual(_root(program, point, 0), v_vals, values)
+        except _UNEVALUABLE:
+            return report(EVAL_ERROR, values, math.nan, 0)
 
-        merit_0 = 0.5 * r_norm**2
-        slope = -2.0 * merit_0  # gradient . step = -||r||^2 for an exact Newton step
-        lam = 1.0
-        while True:
-            np.add(values[1:-1], lam * step, out=trial[1:-1])
-            try:
-                r_new, r_new_norm = _residual(spec.f, t, v_vals, trial)
-                ok = 0.5 * r_new_norm**2 <= merit_0 + _ARMIJO_C * lam * slope
-            except EvalError:
-                ok = False  # treat an unevaluable trial point as a failed step
-            if ok:
-                break
-            lam *= _BACKTRACK_FACTOR
-            if lam < _MIN_STEP:
+        # the line-search point; the iterate and it swap when it is accepted
+        trial = np.zeros(n + 1)
+        iterations = 0
+        while r_norm > threshold:
+            if iterations >= cfg.max_iter:
                 return report(MAX_ITER, values, r_norm, iterations)
+            try:
+                matrix = _jacobian(_root(program, point, 1))
+                point = None  # released before the linear solve
+                # r is not used again, so it is negated in place
+                step = solve_tridiagonal(matrix, np.negative(r, out=r))
+            except SingularJacobianError:
+                return report(SINGULAR_JACOBIAN, values, r_norm, iterations)
+            except _UNEVALUABLE:
+                return report(EVAL_ERROR, values, r_norm, iterations)
 
-        values, trial = trial, values
-        r, r_norm = r_new, r_new_norm
-        iterations += 1
-        trace.append((iterations, r_norm, lam))
+            merit_0 = 0.5 * r_norm**2
+            slope = -2.0 * merit_0  # gradient . step = -||r||^2 for an exact Newton step
+            lam = 1.0
+            while True:
+                try:
+                    np.add(values[1:-1], lam * step, out=trial[1:-1])
+                    point = _point(program, t, trial[1:-1])
+                    r_new, r_new_norm = _residual(_root(program, point, 0), v_vals, trial)
+                    ok = 0.5 * r_new_norm**2 <= merit_0 + _ARMIJO_C * lam * slope
+                except _UNEVALUABLE:
+                    ok = False  # treat an unevaluable trial point as a failed step
+                if ok:
+                    break
+                lam *= _BACKTRACK_FACTOR
+                if lam < _MIN_STEP:
+                    return report(MAX_ITER, values, r_norm, iterations)
+
+            values, trial = trial, values
+            r, r_norm = r_new, r_new_norm
+            iterations += 1
+            trace.append((iterations, r_norm, lam))
 
     return report(CONVERGED, values, r_norm, iterations)
 

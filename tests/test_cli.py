@@ -579,6 +579,17 @@ def test_check_on_an_overflowing_sample_box_exits_2(tmp_path):
     assert err == b"error: x_range must be finite and 2*x_range must not overflow, got inf\n"
 
 
+def test_solve_whose_residual_overflows_exits_2(tmp_path):
+    # each residual entry at the zero start is about 4e197, whose square overflows
+    path = write(tmp_path, "f = x/4\nv = 1e200\nA = 0.5\nB = 1\nfx_lower = -0.5\nN = 16\n")
+    argv = ["solve", "--config", str(path), "--output", str(tmp_path / "x.csv")]
+    with _dirbvp(argv, {**os.environ, "PYTHONWARNINGS": "error"}) as child:
+        out, err = child.communicate()
+    assert child.returncode == 2
+    assert out == b"status: eval_error\niterations: 0\nresidual_norm: nan\nsup_norm: 0.000000e+00\n"
+    assert err == b""
+
+
 def test_norms_does_not_depend_on_the_blas_thread_count():
     # BLAS ddot's last bit changes with OpenBLAS's thread count at this size
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}

@@ -881,6 +881,62 @@ def test_corpus_program_sizes(name):
     assert steps == _CORPUS_STEPS[name]
 
 
+# The step counts of the one program of f and f_x that Newton runs
+_CORPUS_JOINT_STEPS = {"quadratic": 0, "zero": 6, "f1": 14, "f1_sin": 14, "f2": 11, "f3": 22}
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_corpus_joint_program_sizes(name):
+    spec = corpus.build(name)
+    program = spec._program
+    assert len(program.steps) == _CORPUS_JOINT_STEPS[name]
+    # f's steps come first, as many as in f's own program; f_x's complete the list
+    assert [end for _, _, end, _ in program.roots] == [len(spec.f._program.steps), len(program.steps)]
+
+
+def _roots_in_turn(program, t, x):
+    """The values of ``program``'s roots at (t, x), run in turn on one list of
+    values under evaluate's traps, up to the first that fails."""
+    values = []
+    try:
+        with np.errstate(**expr_module._TRAPS):
+            env = expr_module._point(program, t, x)
+            for k in range(len(program.roots)):
+                values.append(expr_module._root(program, env, k))
+    except (EvalError, FloatingPointError):
+        pass
+    return values
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(first=_shared_trees, second=_shared_trees, grid=_grids)
+@example(first=parse(F1), second=diff(parse(F1), "x"), grid=_grid([0.5], [1.0], [-2.0]))
+# f_x alone fails at x = 0, where f is 0
+@example(first=parse("x*sqrt(x^2)"), second=diff(parse("x*sqrt(x^2)"), "x"),
+         grid=_grid([0.5, 0.25], [0.0, 1.0], [1.0, 2.0]))
+@example(first=parse("exp(x)"), second=diff(parse("exp(x)"), "x"), grid=_grid([0.5], [1.0], [2.0]))
+def test_joint_program_runs_each_root_as_evaluate(first, second, grid):
+    # a third root made of the first two shares all their steps
+    roots = (first, second, BinOp("*", second, first))
+    program = expr_module._Program(*roots)
+    assert (program.result, program.result_reads) == program.roots[0][:2]
+    for result, _, end, _ in program.roots:
+        assert all(out != result for *_, out in program.steps[end:])
+    t, *xs = grid
+    for x in xs:
+        expected = []
+        for tree in roots:
+            value = _message_or_value(evaluate, tree, t, x)
+            if isinstance(value, str):
+                break
+            expected.append(value)
+        got = _roots_in_turn(program, t, x)
+        assert len(got) == len(expected)
+        for value, want in zip(got, expected):
+            assert value.shape == t.shape
+            assert np.array_equal(value.view(np.int64), want.view(np.int64))
+
+
 # The derivative by the full rules, which build every zero term and every
 # factor of 1.0: diff's tree must evaluate to the same bits wherever this
 # one evaluates, up to the sign of an exact zero.

@@ -2,17 +2,18 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dirbvp import corpus, discrete_op, expr, solver
+from dirbvp import corpus, discrete_op, expr, problem, solver
 from dirbvp.discrete_op import SingularJacobianError, jacobian, residual, solve_tridiagonal
-from dirbvp.expr import EvalError, evaluate
+from dirbvp.expr import EvalError, evaluate, parse
 from dirbvp.grid import GridFunction, norms, random_element, second_difference
-from dirbvp.problem import apriori_bound, make_spec
+from dirbvp.problem import ProblemSpec, apriori_bound, make_spec
 from dirbvp.solver import (
     CONVERGED,
     EVAL_ERROR,
@@ -286,8 +287,59 @@ def test_newton_failure_statuses_match_reference():
         assert assert_matches_reference(spec, n, cfg).status == status
 
 
+def test_newton_fx_that_fails_alone_ends_in_eval_error():
+    # f = x*sqrt(x^2) is 0 at the zero start, and f_x = sqrt(x^2) + x*x/sqrt(x^2)
+    # divides by zero there: the start is evaluated, its Jacobian is not
+    spec = make_spec("x*sqrt(x^2)", "1", A=0.5, B=0.5, fx_lower=-10.0)
+    report = assert_matches_reference(spec, 16)
+    assert (report.status, report.iterations) == (EVAL_ERROR, 0)
+    assert report.residual_norm == pytest.approx(0.01513, rel=1e-3)
+
+
+def test_newton_tree_that_cannot_be_compiled_is_eval_error():
+    # A spec built by hand may hold a tree that the compiler rejects: an f
+    # nested past Python's recursion limit, or an f_x with a variable
+    # exponent.  f and f_x compile as one program, before the start.
+    deep = parse("+".join(["x"] * 3000))
+    malformed = expr.BinOp("^", expr.Var("x"), expr.Var("x"))
+    for f, fx in ((deep, expr.Num(1.0)), (parse("x/4"), malformed)):
+        report = newton_solve(ProblemSpec(f, fx, expr.Num(1.0), 1.0, 1.0, 0.0), 8)
+        assert (report.status, report.iterations) == (EVAL_ERROR, 0)
+        assert math.isnan(report.residual_norm)
+
+
+def test_newton_residual_that_overflows_is_eval_error():
+    # v = 1e200 makes each residual entry about 4e197 at the zero start,
+    # whose square overflows: the start cannot be evaluated, with no warning
+    spec = make_spec("x/4", "1e200", A=0.5, B=1.0, fx_lower=-0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = newton_solve(spec, 16)
+    assert (report.status, report.iterations) == (EVAL_ERROR, 0)
+    assert math.isnan(report.residual_norm)
+
+
+def test_newton_trial_whose_residual_overflows_fails():
+    # The first Newton step of f = -9.8*atan(x) from zero is about 1e157, and
+    # the residual's norm overflows at steps 1 .. 2^-7 of it.  Those trials
+    # fail, with no warning, and 2^-8 is accepted, with the reference's bits.
+    spec = make_spec("-9.8*atan(x)", "1e155", A=9.8, B=1.0, fx_lower=-9.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = newton_solve(spec, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the reference's overflows
+        want = reference_newton_solve(spec, 16)
+    assert report.status == CONVERGED and report.step_trace[0][2] == 2.0**-8
+    assert (
+        report.status, report.iterations, report.residual_norm, report.step_trace,
+        report.solution.values.tobytes(),
+    ) == want
+
+
 def count_evaluations(monkeypatch):
-    """Record the expression of every evaluate call the solver makes."""
+    """Record what the solver evaluates: a tree for each evaluate call, and
+    "f" or "fx" for each run of root 0 or 1 of the spec's joint program."""
     calls = []
     for module in (solver, discrete_op):
         def evaluate(expr, t=0.0, x=0.0, original=module.evaluate):
@@ -295,6 +347,12 @@ def count_evaluations(monkeypatch):
             return original(expr, t, x)
 
         monkeypatch.setattr(module, "evaluate", evaluate)
+
+    def root(program, env, k, original=solver._root):
+        calls.append(("f", "fx")[k])
+        return original(program, env, k)
+
+    monkeypatch.setattr(solver, "_root", root)
     return calls
 
 
@@ -309,7 +367,8 @@ def test_newton_exhausted_line_search_matches_reference(monkeypatch):
     report = assert_matches_reference(F1_SPEC, 16)
     assert report.status == MAX_ITER and report.iterations == 0
     # the start, then step lengths 1, 1/2, ..., 2^-46; the next is below 1e-14
-    assert sum(expr is F1_SPEC.f for expr in calls) == 1 + 47
+    assert calls.count("f") == 1 + 47
+    assert calls.count("fx") == 1
 
 
 def test_newton_evaluates_v_once(monkeypatch):
@@ -320,7 +379,9 @@ def test_newton_evaluates_v_once(monkeypatch):
         assert report.status == CONVERGED
         assert any(lam < 1.0 for _, _, lam in report.step_trace)  # trials were rejected
         assert sum(expr is spec.v for expr in calls) == 1
-        assert sum(expr is spec.f for expr in calls) > report.iterations + 1
+        assert calls.count("f") > report.iterations + 1
+        assert calls.count("fx") == report.iterations
+        assert not any(expr is spec.f or expr is spec.fx for expr in calls)
 
 
 def tree_nodes(tree):
@@ -341,19 +402,22 @@ def tree_nodes(tree):
 def test_newton_solve_compiles_each_tree_once(monkeypatch):
     programs = []
 
-    def counting_program(tree, original=expr._Program):
-        programs.append(id(tree))
-        return original(tree)
+    def counting_program(*trees, original=expr._Program):
+        programs.append(tuple(map(id, trees)))
+        return original(*trees)
 
     spec = corpus.build("f3")
     nodes = {**tree_nodes(spec.f), **tree_nodes(spec.fx), **tree_nodes(spec.v)}
-    # building leaves the trees uncompiled; the first evaluation compiles them
+    # building leaves the trees and the spec uncompiled; the first solve compiles them
     assert not any("_program" in vars(node) for node in nodes.values())
+    assert "_program" not in vars(spec)
     monkeypatch.setattr(expr, "_Program", counting_program)
+    monkeypatch.setattr(problem, "_Program", counting_program)
     first = newton_solve(spec, 64, SolverConfig(initial_guess=random_element(64, np.random.default_rng(3))))
     assert first.status == CONVERGED and first.iterations >= 2
-    # one program for each of f, f_x and v, kept on its root
-    assert sorted(programs) == sorted({id(spec.f), id(spec.fx), id(spec.v)})
+    # one program for f and f_x, kept on the spec, and one for v, kept on its root
+    assert sorted(programs) == sorted([(id(spec.f), id(spec.fx)), (id(spec.v),)])
+    assert "_program" not in vars(spec.f) and "_program" not in vars(spec.fx)
 
     programs.clear()
     again = newton_solve(spec, 64, SolverConfig(initial_guess=random_element(64, np.random.default_rng(3))))

@@ -6,10 +6,12 @@ Run from the root of a dirbvp source tree; dirbvp is imported from its
 ``src`` directory.  For f1, f1_sin, f2 and f3 at N = 10^2, 10^4, 10^5
 and 10^6 (those up to ``--max-n``) it times ``newton_solve`` from zero,
 and then, at the solution it returns, each layer a Newton step runs:
-``evaluate`` of f, f_x and v at the interior nodes, ``_residual``,
-``_jacobian``, ``solve_tridiagonal``, one Armijo trial (a trial point and
-its residual) and ``GridFunction`` construction, and it counts the steps
-of the compiled f, f_x and v programs.  For every corpus problem it times
+``evaluate`` of f, f_x and v at the interior nodes, one Newton point
+(f's steps of the joint program of f and f_x, then f_x's on the same
+values), the ``_residual`` and ``_jacobian`` kernels on given values,
+``solve_tridiagonal``, one Armijo trial (a trial point, f's steps there
+and its residual) and ``GridFunction`` construction.  It counts the steps
+of the compiled f, f_x and v programs and of the joint one.  For every corpus problem it times
 ``check``'s two scans, of the growth bound and of the f_x bound, on the
 box the CLI samples, and counts the steps of f and f_x by what they read:
 t alone, x alone, both, or neither.  It also times the CLI in process:
@@ -104,25 +106,38 @@ def layers(name: str, n: int, repeat: int) -> dict:
                   for key, tree in (("f", spec.f), ("fx", spec.fx), ("v", spec.v))},
         "ms": {"newton_solve": best_ms(lambda: solver.newton_solve(spec, n), repeat)},
     }
+    program = spec._program
+    row["steps"]["joint"] = len(program.steps)
     values = report.solution.values
     t = discrete_op._interior_nodes(n)
     v_vals = expr.evaluate(spec.v, t, 0.0)
     interior = values[1:-1]
-    r, _ = discrete_op._residual(spec.f, t, v_vals, values)
-    matrix = discrete_op._jacobian(spec.fx, t, values)
+    f_vals = expr.evaluate(spec.f, t, interior)
+    fx_vals = expr.evaluate(spec.fx, t, interior)
+    r, _ = discrete_op._residual(f_vals, v_vals, values)
+    matrix = discrete_op._jacobian(fx_vals)
     step = discrete_op.solve_tridiagonal(matrix, -r)
     trial = np.zeros(n + 1)
 
+    def newton_point():
+        with np.errstate(**expr._TRAPS):
+            point = expr._point(program, t, interior)
+            expr._root(program, point, 0)
+            return expr._root(program, point, 1)
+
     def armijo_trial():
-        np.add(interior, step, out=trial[1:-1])
-        return discrete_op._residual(spec.f, t, v_vals, trial)
+        with np.errstate(**expr._TRAPS):
+            np.add(interior, step, out=trial[1:-1])
+            point = expr._point(program, t, trial[1:-1])
+            return discrete_op._residual(expr._root(program, point, 0), v_vals, trial)
 
     row["ms"].update({
         "f": best_ms(lambda: expr.evaluate(spec.f, t, interior), repeat),
         "fx": best_ms(lambda: expr.evaluate(spec.fx, t, interior), repeat),
         "v": best_ms(lambda: expr.evaluate(spec.v, t, 0.0), repeat),
-        "residual": best_ms(lambda: discrete_op._residual(spec.f, t, v_vals, values), repeat),
-        "jacobian": best_ms(lambda: discrete_op._jacobian(spec.fx, t, values), repeat),
+        "newton_point": best_ms(newton_point, repeat),
+        "residual": best_ms(lambda: discrete_op._residual(f_vals, v_vals, values), repeat),
+        "jacobian": best_ms(lambda: discrete_op._jacobian(fx_vals), repeat),
         "solve_tridiagonal": best_ms(lambda: discrete_op.solve_tridiagonal(matrix, r), repeat),
         "armijo_trial": best_ms(armijo_trial, repeat),
         "grid_function": best_ms(lambda: grid.GridFunction(n, values), repeat),
