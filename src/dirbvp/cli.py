@@ -25,10 +25,16 @@ import numpy as np
 
 from .convergence import ConvergenceTable, StudyError, run_study
 from .corpus import ConfigError, ProblemConfig, build_problem
-from .discrete_op import _interior_nodes
 from .expr import EvalError, ParseError, evaluate
 from .grid import grid_size, norms, random_element
-from .problem import ProblemSpec, apriori_bound, check_fx_lower, check_growth, classify
+from .problem import (
+    ProblemSpec,
+    _interior_nodes,
+    apriori_bound,
+    check_fx_lower,
+    check_growth,
+    classify,
+)
 from .solver import CONVERGED, EVAL_ERROR, SolverConfig, newton_solve
 
 # Not called here; kept because the benchmark's tracer patches these names on this module.

@@ -83,18 +83,15 @@ class Residual:
     norm: float
 
 
-def _interior_nodes(n: int) -> np.ndarray:
-    return np.arange(1, n) / n
-
-
 def residual(spec: ProblemSpec, x: GridFunction) -> Residual:
     """Defect of the discrete equation at the interior nodes.
 
     The vector is (D x)(k) - v(k/N)/N^2 for k = 1..N-1 and its norm is
     the plain Euclidean norm; x solves the problem iff the vector is 0.
+    The nodes and v there are the spec's, kept per grid size and shared
+    with ``jacobian``, ``phi_N`` and ``newton_solve``.
     """
-    t = _interior_nodes(x.n)
-    v_vals = evaluate(spec.v, t, 0.0)
+    t, v_vals, _ = spec._grid(x.n)
     vector, norm = _residual(evaluate(spec.f, t, x.interior), v_vals, x.values)
     return Residual(vector=vector, norm=norm)
 
@@ -110,8 +107,12 @@ def _residual(f_vals, v_vals, values) -> tuple[np.ndarray, float]:
 
 
 def jacobian(spec: ProblemSpec, x: GridFunction) -> Tridiagonal:
-    """Derivative of the operator at x: tridiag(1, -2 - f_x(k/N, x(k))/N^2, 1)."""
-    return _jacobian(evaluate(spec.fx, _interior_nodes(x.n), x.interior))
+    """Derivative of the operator at x: tridiag(1, -2 - f_x(k/N, x(k))/N^2, 1).
+
+    Its nodes are the spec's, as ``residual``'s are, so it raises EvalError
+    where v fails on them too.
+    """
+    return _jacobian(evaluate(spec.fx, spec._grid(x.n)[0], x.interior))
 
 
 def _jacobian(fx_vals) -> Tridiagonal:
@@ -236,8 +237,7 @@ def phi_N(spec: ProblemSpec, x: GridFunction, a, h: GridFunction) -> float:
         raise ValueError(f"x and h live on different grids: {x.n} vs {h.n}")
     if a.shape != (x.n - 1,):
         raise ValueError(f"expected {x.n - 1} interior entries, got {a.shape}")
-    t = _interior_nodes(x.n)
-    fx_vals = evaluate(spec.fx, t, x.interior)
+    fx_vals = evaluate(spec.fx, spec._grid(x.n)[0], x.interior)
     dh = forward_difference(h)
     quad = 0.5 * np.sum(dh**2) + 0.5 / x.n**2 * np.sum(fx_vals * h.interior**2)
     return float(quad + np.sum(h.interior * a))

@@ -440,7 +440,12 @@ class _Program:
             return n
 
         # each root's number, and how many values are numbered once it is walked
-        walks = [(_walk(walk, root), len(values)) for root in roots]
+        try:
+            walks = [(_walk(walk, root), len(values)) for root in roots]
+        finally:
+            # walk calls itself through its closure cell, a cycle that would
+            # keep it and every table above alive until the collector runs
+            del walk
         template = [None, None]
         slots = {0: 0, 1: 1}
         free = []

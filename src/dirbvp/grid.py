@@ -129,5 +129,15 @@ def _euclidean(v: np.ndarray) -> float:
 
 
 def random_element(n: int, rng: np.random.Generator, amplitude: float = 1.0) -> GridFunction:
-    """Random grid function with interior values uniform in [-amplitude, amplitude]."""
+    """Random grid function with interior values uniform in [-amplitude, amplitude].
+
+    amplitude is a nonnegative number whose double is finite, the width of
+    the range; True and False would pass as 1 and 0, and are rejected.
+    """
+    if isinstance(amplitude, (bool, np.bool_)) or not (
+        amplitude >= 0.0 and math.isfinite(2.0 * float(amplitude))
+    ):
+        raise ValueError(
+            f"amplitude must be nonnegative and 2*amplitude finite, got {amplitude!r}"
+        )
     return GridFunction.from_interior(rng.uniform(-amplitude, amplitude, grid_size(n) - 1))

@@ -35,6 +35,13 @@ _WITNESS_CAP = 10
 # 8 x 2001 doubles is 125 KiB, under glibc's default 128 KiB mmap threshold, so
 # a block's temporaries come from the heap and reuse its pages, block after block
 _BLOCK_ROWS = 8
+# How many grid sizes a spec keeps the nodes and v of, the most recently used
+_GRIDS = 8
+
+
+def _interior_nodes(n: int) -> np.ndarray:
+    """The nodes k/n, k = 1..n-1, of n subintervals."""
+    return np.arange(1, n) / n
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,31 @@ class ProblemSpec:
         # f and then f_x as one program, as Newton runs them at each point;
         # compiled on the first solve and kept on the spec
         return _Program(self.f, self.fx)
+
+    @functools.cached_property
+    def _grids(self) -> dict:
+        # n -> _grid(n), oldest use first
+        return {}
+
+    def _grid(self, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """The interior nodes of n subintervals, v there and sup|v| there.
+
+        v is evaluated once per n, which checks the nodes finite, and both
+        arrays are read-only; the spec keeps them for the _GRIDS most
+        recently used n.  Where v fails on the nodes, this raises
+        EvalError on every call and keeps nothing.
+        """
+        grids = self._grids
+        grid = grids.pop(n, None)
+        if grid is None:
+            t = _interior_nodes(n)
+            v_vals = evaluate(self.v, t, 0.0)
+            t.flags.writeable = v_vals.flags.writeable = False
+            grid = (t, v_vals, float(np.max(np.abs(v_vals))))
+            if len(grids) >= _GRIDS:
+                del grids[next(iter(grids))]
+        grids[n] = grid
+        return grid
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import functools
+import gc
 import math
 import operator
 import os
@@ -892,6 +893,27 @@ def test_corpus_joint_program_sizes(name):
     assert len(program.steps) == _CORPUS_JOINT_STEPS[name]
     # f's steps come first, as many as in f's own program; f_x's complete the list
     assert [end for _, _, end, _ in program.roots] == [len(spec.f._program.steps), len(program.steps)]
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_compiling_leaves_no_cyclic_garbage(name):
+    # What a compile allocates is freed when its last reference goes, with
+    # no collector run, also when the tree is malformed
+    spec = corpus.build(name)
+    malformed = BinOp("%", spec.f, Var("x"))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for trees in ((spec.f, spec.fx), (spec.f,), (spec.fx,), (spec.v,), (malformed,)):
+            try:
+                expr_module._Program(*trees)
+            except EvalError:
+                pass
+            assert gc.collect() == 0, trees
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _roots_in_turn(program, t, x):

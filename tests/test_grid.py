@@ -146,3 +146,12 @@ def test_grid_function_accessors():
     np.testing.assert_allclose(x.nodes, [0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(ValueError):
         x.values[1] = 9.0  # stored values are read-only
+
+
+@pytest.mark.parametrize(
+    "amplitude", [np.nan, np.inf, -np.inf, 1e308, np.float64(1e308), -1.0, -0.5, True, np.bool_(False)]
+)
+def test_random_element_rejects_bad_amplitude(amplitude):
+    # numpy's own errors named high - low, and True passed as 1
+    with pytest.raises(ValueError, match="amplitude"):
+        random_element(4, np.random.default_rng(0), amplitude)

@@ -341,7 +341,7 @@ def count_evaluations(monkeypatch):
     """Record what the solver evaluates: a tree for each evaluate call, and
     "f" or "fx" for each run of root 0 or 1 of the spec's joint program."""
     calls = []
-    for module in (solver, discrete_op):
+    for module in (solver, discrete_op, problem):
         def evaluate(expr, t=0.0, x=0.0, original=module.evaluate):
             calls.append(expr)
             return original(expr, t, x)
@@ -371,17 +371,83 @@ def test_newton_exhausted_line_search_matches_reference(monkeypatch):
     assert calls.count("fx") == 1
 
 
+def report_bits(report):
+    """A report as bytes and hex, so that equal means bitwise equal."""
+    return (
+        report.status, report.iterations, report.residual_norm.hex(),
+        tuple((k, norm.hex(), lam.hex()) for k, norm, lam in report.step_trace),
+        report.solution.values.tobytes(),
+    )
+
+
 def test_newton_evaluates_v_once(monkeypatch):
+    # A spec keeps each grid's nodes and v(t_k): its first solve at N
+    # evaluates v once, later solves at N not at all, and no trial does.
+    # Fresh specs, so no earlier test has filled their tables.
     calls = count_evaluations(monkeypatch)
-    for spec in (CUBIC, SQRT):
+    for f, v in (("x^3", "1000"), ("sqrt(x + 1)", "7.5")):  # CUBIC and SQRT
+        spec = make_spec(f, v, A=1.0, B=1.0, fx_lower=0.0)
+        bits = {}
+        for n, v_evaluations in ((64, 1), (64, 0), (32, 1), (64, 0)):
+            calls.clear()
+            report = newton_solve(spec, n)
+            assert report.status == CONVERGED
+            assert any(lam < 1.0 for _, _, lam in report.step_trace)  # trials were rejected
+            assert sum(expr is spec.v for expr in calls) == v_evaluations
+            assert calls.count("f") > report.iterations + 1
+            assert calls.count("fx") == report.iterations
+            assert not any(expr is spec.f or expr is spec.fx for expr in calls)
+            # cold and warm solves, and one on a new spec, give the same bits
+            bits.setdefault(n, set()).add(report_bits(report))
+        again = make_spec(f, v, A=1.0, B=1.0, fx_lower=0.0)
+        bits[64].add(report_bits(newton_solve(again, 64)))
+        assert [len(reports) for reports in bits.values()] == [1, 1]
+        # residual and jacobian take the kept nodes and v too
         calls.clear()
-        report = newton_solve(spec, 64)
-        assert report.status == CONVERGED
-        assert any(lam < 1.0 for _, _, lam in report.step_trace)  # trials were rejected
+        residual(spec, GridFunction.zeros(64))
+        jacobian(spec, GridFunction.zeros(64))
+        assert not any(expr is spec.v for expr in calls)
+
+
+def test_grid_table_keeps_the_most_recent_sizes_read_only(monkeypatch):
+    calls = count_evaluations(monkeypatch)
+    spec = make_spec("x^3", "1000*t", A=1.0, B=1.0, fx_lower=0.0)
+    bound = problem._GRIDS
+    sizes = range(2, 2 + bound + 3)
+    for n in sizes:
+        newton_solve(spec, n)
+        assert len(spec._grids) <= bound
+    assert list(spec._grids) == list(sizes[-bound:])
+    # a solve at a kept size makes it the most recent, so the next new size
+    # drops the oldest other one
+    newton_solve(spec, sizes[-bound])
+    newton_solve(spec, 2)
+    assert list(spec._grids) == [*sizes[-bound + 2 :], sizes[-bound], 2]
+    assert sum(expr is spec.v for expr in calls) == len(sizes) + 1
+    for n, (t, v_vals, v_sup) in spec._grids.items():
+        assert np.array_equal(t, np.arange(1, n) / n)
+        assert v_sup == float(np.max(np.abs(v_vals)))
+        for array in (t, v_vals):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
+def test_grid_table_keeps_no_v_that_fails(monkeypatch):
+    # t = 5/10 is a node of N = 10, where v divides by zero
+    calls = count_evaluations(monkeypatch)
+    spec = make_spec("x", "1/(t - 0.5)", A=1.0, B=1.0, fx_lower=0.0)
+    for _ in range(3):
+        calls.clear()
+        report = newton_solve(spec, 10)
+        assert report.status == EVAL_ERROR and math.isnan(report.residual_norm)
         assert sum(expr is spec.v for expr in calls) == 1
-        assert calls.count("f") > report.iterations + 1
-        assert calls.count("fx") == report.iterations
-        assert not any(expr is spec.f or expr is spec.fx for expr in calls)
+        assert spec._grids == {}
+    for operation in (residual, jacobian):
+        with pytest.raises(EvalError, match="division by zero"):
+            operation(spec, GridFunction.zeros(10))
+    assert newton_solve(spec, 9).status == CONVERGED
+    assert list(spec._grids) == [9]
 
 
 def tree_nodes(tree):
@@ -470,6 +536,13 @@ def test_multi_start_validates_and_propagates():
     for starts in (2.5, 3.0, True):
         with pytest.raises(ValueError, match="starts"):
             multi_start_uniqueness(QUAD, 10, starts=starts)
+    # True would seed as 1, and numpy's message for -1 does not name seed
+    for seed in (True, -1, 1.0):
+        with pytest.raises(ValueError, match="seed"):
+            multi_start_uniqueness(QUAD, 10, seed=seed)
+    for amplitude in (np.nan, np.inf, -1.0, True):
+        with pytest.raises(ValueError, match="amplitude"):
+            multi_start_uniqueness(QUAD, 10, amplitude=amplitude)
     spec = make_spec("-32*x", "1", A=32.1, B=0.1, fx_lower=-32.1)
     with pytest.raises(SolverError, match="start 0"):
         multi_start_uniqueness(spec, 4, starts=2, amplitude=1.0, seed=0)

@@ -5,8 +5,11 @@
 Run from the root of a dirbvp source tree; dirbvp is imported from its
 ``src`` directory.  For f1, f1_sin, f2 and f3 at N = 10^2, 10^4, 10^5
 and 10^6 (those up to ``--max-n``) it times ``newton_solve`` from zero,
-and then, at the solution it returns, each layer a Newton step runs:
-``evaluate`` of f, f_x and v at the interior nodes, one Newton point
+warm: the spec already keeps the grid's nodes and v there from the first
+solve.  ``grid_constants`` times a cold fill of that table entry (the
+nodes, their finiteness check, v and sup|v|).  Then, at the solution the
+solve returns, it times each layer a Newton step runs: ``evaluate`` of
+f, f_x and v at the interior nodes, one Newton point
 (f's steps of the joint program of f and f_x, then f_x's on the same
 values), the ``_residual`` and ``_jacobian`` kernels on given values,
 ``solve_tridiagonal``, one Armijo trial (a trial point, f's steps there
@@ -109,8 +112,7 @@ def layers(name: str, n: int, repeat: int) -> dict:
     program = spec._program
     row["steps"]["joint"] = len(program.steps)
     values = report.solution.values
-    t = discrete_op._interior_nodes(n)
-    v_vals = expr.evaluate(spec.v, t, 0.0)
+    t, v_vals, _ = spec._grid(n)
     interior = values[1:-1]
     f_vals = expr.evaluate(spec.f, t, interior)
     fx_vals = expr.evaluate(spec.fx, t, interior)
@@ -131,7 +133,12 @@ def layers(name: str, n: int, repeat: int) -> dict:
             point = expr._point(program, t, trial[1:-1])
             return discrete_op._residual(expr._root(program, point, 0), v_vals, trial)
 
+    def grid_constants():
+        spec._grids.clear()
+        return spec._grid(n)
+
     row["ms"].update({
+        "grid_constants": best_ms(grid_constants, repeat),
         "f": best_ms(lambda: expr.evaluate(spec.f, t, interior), repeat),
         "fx": best_ms(lambda: expr.evaluate(spec.fx, t, interior), repeat),
         "v": best_ms(lambda: expr.evaluate(spec.v, t, 0.0), repeat),
