@@ -1,10 +1,9 @@
 """Command-line front end: problem configs in, reports and CSV tables out.
 
 Config files are flat ``key = value`` text, one field per line, with
-expression values running unquoted to the end of the line; a ``.json``
-extension switches to a JSON object with the same fields.  CSV output
-uses '.' decimals at full round-trip precision, so identical inputs
-produce byte-identical files.
+expression values running unquoted to the end of the line, whatever the
+file's extension.  CSV output uses '.' decimals at full round-trip
+precision, so identical inputs produce byte-identical files.
 
 Exit codes: 0 success, 1 a checked condition is violated, 2 solver or
 configuration failure (an expression nested too deeply and a sample box
@@ -30,6 +29,7 @@ from .grid import grid_size, norms, random_element
 from .problem import (
     ProblemSpec,
     _interior_nodes,
+    _locate_failure,
     apriori_bound,
     check_fx_lower,
     check_growth,
@@ -69,37 +69,13 @@ def _parse_flat(text: str) -> dict[str, str]:
     return fields
 
 
-def _text(value) -> str:
-    # str() would turn a JSON null into the text "None"
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-def _number(value) -> float:
-    # JSON true/false would otherwise pass as 1.0/0.0
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value) -> int:
-    # int() would truncate a JSON 20.9 to 20; integral floats such as 20.0 pass
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _parse_ns(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        parts = [part.strip() for part in value.split(",")] if value.strip() else []
-        if "" in parts:
-            raise ValueError(f"empty entry in the list {value!r}")
-    else:
-        parts = list(value)
+def _parse_ns(value: str) -> tuple[int, ...]:
+    parts = [part.strip() for part in value.split(",")] if value.strip() else []
+    if "" in parts:
+        raise ValueError(f"empty entry in the list {value!r}")
     try:
-        ns = tuple(_integer(part) for part in parts)
-    except (TypeError, ValueError):
+        ns = tuple(map(int, parts))
+    except ValueError:
         raise ValueError(f"expected a comma-separated integer list, got {value!r}")
     if not ns:
         raise ValueError("list is empty")
@@ -126,16 +102,7 @@ def load_config(path) -> ProblemConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
 
-    if path.suffix == ".json":
-        try:
-            fields = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}")
-        if not isinstance(fields, dict):
-            raise ConfigError(f"{path}: expected a JSON object")
-    else:
-        fields = _parse_flat(text)
-
+    fields = _parse_flat(text)
     known = {"name", "f", "v", "A", "B", "fx_lower", "x_star", "N", "Ns", "tol", "max_iter"}
     unknown = set(fields) - known
     if unknown:
@@ -149,17 +116,17 @@ def load_config(path) -> ProblemConfig:
             raise ConfigError(f"missing field: {key}")
 
     solver = SolverConfig()
-    for key, convert in (("tol", _number), ("max_iter", _integer)):
+    for key, convert in (("tol", float), ("max_iter", int)):
         solver = take(key, lambda value: replace(solver, **{key: convert(value)}), solver)
     config = ProblemConfig(
-        name=take("name", _text, path.stem),
-        f=take("f", _text),
-        v=take("v", _text),
-        x_star=take("x_star", _text),
-        A=take("A", _number),
-        B=take("B", _number),
-        fx_lower=take("fx_lower", _number),
-        n=take("N", lambda value: grid_size(_integer(value))),
+        name=fields.get("name", path.stem),
+        f=fields["f"],
+        v=fields.get("v"),
+        x_star=fields.get("x_star"),
+        A=take("A", float),
+        B=take("B", float),
+        fx_lower=take("fx_lower", float),
+        n=take("N", lambda value: grid_size(int(value))),
         ns=take("Ns", _parse_ns),
         solver=solver,
     )
@@ -200,21 +167,19 @@ def _evaluate_v(spec: ProblemSpec, t_grid: np.ndarray) -> np.ndarray:
     try:
         return evaluate(spec.v, t_grid, 0.0)
     except EvalError as cause:
-        # rescan point by point to name the first t where v fails
-        for t in t_grid:
-            try:
-                evaluate(spec.v, float(t), 0.0)
-            except EvalError as exc:
-                raise EvalError(f"v cannot be evaluated at t={t}: {exc}") from exc
-        raise cause
+        _locate_failure(spec.v, t_grid, np.zeros(1), cause, "v cannot be evaluated at t={t}")
 
 
 def _report_failing_v(spec: ProblemSpec, n: int) -> None:
     """Write an ``error:`` line to stderr if v fails on the interior nodes of n subintervals."""
     try:
-        _evaluate_v(spec, _interior_nodes(n))
-    except EvalError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # kept by the solve, so this evaluates v only where it failed there
+        spec._grid(n)
+    except EvalError:
+        try:
+            _evaluate_v(spec, _interior_nodes(n))
+        except EvalError as exc:
+            sys.stderr.write(f"error: {exc}\n")
 
 
 def _sample_range(spec: ProblemSpec) -> float:
@@ -386,7 +351,7 @@ def main(argv=None) -> int:
         "Dirichlet difference equations.",
     )
     parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", help="problem config file (flat text or .json)")
+    parser.add_argument("--config", help="problem config file (flat key = value text)")
     parser.add_argument("--output", help="write the primary artifact to this file")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized demos")
     parser.add_argument("--n", type=int, help="override the config grid size N")

@@ -150,19 +150,31 @@ def make_spec(f, v, *, A: float, B: float, fx_lower: float) -> ProblemSpec:
     return ProblemSpec(f, diff(f, "x"), v, float(A), float(B), float(fx_lower))
 
 
-def _locate_failure(expr: Expr, t_grid: np.ndarray, x_grid: np.ndarray, cause: EvalError):
-    """Rescan after a vectorized failure to name the first failing point."""
-    for t in t_grid:
+def _locate_failure(expr: Expr, t_grid: np.ndarray, x_grid: np.ndarray, cause: EvalError,
+                    where: str = "evaluation failed at sample point (t={t}, x={x})"):
+    """Raise an EvalError naming the first point of t_grid by x_grid, row-major, where expr fails.
+
+    ``cause`` is expr's error on the whole box.  A set of points fails
+    where one of its points fails, so halving the points in row-major
+    order finds the first failing one in about log2 of their count
+    evaluations.  The message is ``where`` at that t and x, then expr's
+    error on scalars there; where those do not fail, this raises ``cause``.
+    """
+    t, x = np.repeat(t_grid, x_grid.size), np.tile(x_grid, t_grid.size)
+    # the first failure lies in [lo, hi), and none before lo
+    lo, hi = 0, t.size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            evaluate(expr, float(t), x_grid)
+            evaluate(expr, t[lo:mid], x[lo:mid])
         except EvalError:
-            for x in x_grid:
-                try:
-                    evaluate(expr, float(t), float(x))
-                except EvalError as exc:
-                    raise EvalError(
-                        f"evaluation failed at sample point (t={t}, x={x}): {exc}"
-                    ) from exc
+            hi = mid
+        else:
+            lo = mid
+    try:
+        evaluate(expr, float(t[lo]), float(x[lo]))
+    except EvalError as exc:
+        raise EvalError(f"{where.format(t=t[lo], x=x[lo])}: {exc}") from exc
     raise cause
 
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirbvp import corpus
@@ -33,7 +33,7 @@ def test_make_spec_validates_constants():
         make_spec("x", "0", A=0.0, B=0.5, fx_lower=-0.5)
     with pytest.raises(ValueError):
         make_spec("x", "0", A=0.5, B=-1.0, fx_lower=-0.5)
-    # a bool would pass as 1.0 or 0.0, as JSON true and false do not in a config
+    # a bool would pass as 1.0 or 0.0
     constants = {"A": 0.5, "B": 0.5, "fx_lower": -0.5}
     for constant in constants:
         for bad in (True, False, np.True_):
@@ -403,6 +403,99 @@ def test_check_names_first_failing_point_in_a_later_block(f, failing, samples_t,
     with pytest.raises(EvalError) as info:
         check(spec, x_range=2.0, samples_t=samples_t)
     assert str(info.value).startswith(f"evaluation failed at sample point (t={t}, x={x}): ")
+
+
+def _reference_locate(expr, t_grid, x_grid, cause,
+                      where="evaluation failed at sample point (t={t}, x={x})"):
+    """The scalar rescan that halving replaced: row by row, then x by x in a failing row."""
+    for t in t_grid:
+        try:
+            evaluate(expr, float(t), x_grid)
+        except EvalError:
+            for x in x_grid:
+                try:
+                    evaluate(expr, float(t), float(x))
+                except EvalError as exc:
+                    raise EvalError(f"{where.format(t=t, x=x)}: {exc}") from exc
+    raise cause
+
+
+def _located(locate, expr, t_grid, x_grid, **where):
+    """The message ``locate`` raises after expr fails on the box, or None where it does not fail."""
+    try:
+        evaluate(expr, t_grid[:, None], x_grid[None, :])
+    except EvalError as cause:
+        with pytest.raises(EvalError) as info:
+            locate(expr, t_grid, x_grid, cause, **where)
+        return str(info.value)
+    return None
+
+
+def _with_pole(tree, op, pole, t0, x0):
+    """``tree op pole``, where the pole fails at t0, at x0, at (t0, x0), or at every t >= t0."""
+    dt, dx = BinOp("-", Var("t"), Num(t0)), BinOp("-", Var("x"), Num(x0))
+    pole = {
+        "t": BinOp("/", Num(1.0), dt),
+        "x": BinOp("/", Num(1.0), dx),
+        "point": BinOp("/", Num(1.0), BinOp("+", BinOp("^", dt, Num(2.0)),
+                                            BinOp("^", dx, Num(2.0)))),
+        "after": BinOp("/", Num(1.0), Call("sqrt", BinOp("-", Num(t0), Var("t")))),
+    }[pole]
+    return BinOp(op, tree, pole)
+
+
+def _index(where, size):
+    return round(where * (size - 1))
+
+
+_WHERE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    tree=_trees_over(("t", "x")),
+    op=st.sampled_from("+-*"),
+    pole=st.sampled_from(["t", "x", "point", "after"]),
+    samples_t=st.sampled_from([2, 33, 201]),
+    samples_x=st.sampled_from([2, 7, 101]),
+    where_t=_WHERE,
+    where_x=_WHERE,
+)
+# the first row, the last row, and the last sample point
+@example(tree=Num(1.0), op="+", pole="t", samples_t=201, samples_x=101, where_t=0.0, where_x=0.0)
+@example(tree=Num(1.0), op="+", pole="t", samples_t=201, samples_x=101, where_t=1.0, where_x=0.0)
+@example(tree=Var("x"), op="*", pole="point", samples_t=201, samples_x=101, where_t=1.0,
+         where_x=1.0)
+def test_halving_names_the_point_of_the_scalar_rescan(tree, op, pole, samples_t, samples_x,
+                                                       where_t, where_x):
+    t_grid = np.linspace(0.0, 1.0, samples_t)
+    x_grid = np.linspace(-2.0, 2.0, samples_x)
+    t0, x0 = t_grid[_index(where_t, samples_t)], x_grid[_index(where_x, samples_x)]
+    expr = _with_pole(tree, op, pole, float(t0), float(x0))
+    want = _located(_reference_locate, expr, t_grid, x_grid)
+    assert want is not None
+    assert _located(problem_module._locate_failure, expr, t_grid, x_grid) == want
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    tree=_trees_over(("t",)),
+    op=st.sampled_from("+-*"),
+    pole=st.sampled_from(["t", "after"]),
+    n=st.sampled_from([2, 3, 64, 1000]),
+    where_t=_WHERE,
+)
+# v fails at the first node and at the last node
+@example(tree=Num(1.0), op="+", pole="t", n=1000, where_t=0.0)
+@example(tree=Num(1.0), op="+", pole="t", n=1000, where_t=1.0)
+def test_halving_names_the_t_of_v_that_the_scalar_rescan_names(tree, op, pole, n, where_t):
+    t_grid = problem_module._interior_nodes(n)
+    t0 = t_grid[_index(where_t, t_grid.size)]
+    expr = _with_pole(tree, op, pole, float(t0), 0.0)
+    where = {"where": "v cannot be evaluated at t={t}"}
+    want = _located(_reference_locate, expr, t_grid, np.zeros(1), **where)
+    assert want is not None
+    assert _located(problem_module._locate_failure, expr, t_grid, np.zeros(1), **where) == want
 
 
 @pytest.mark.parametrize("check", [check_growth, check_fx_lower])
