@@ -162,12 +162,16 @@ def _report_dict(report) -> dict:
     }
 
 
+# the head of the message that names the first t where v fails
+_V_FAILS = "v cannot be evaluated at t={t}"
+
+
 def _evaluate_v(spec: ProblemSpec, t_grid: np.ndarray) -> np.ndarray:
     """v on ``t_grid``; where it fails, an EvalError that names the first failing t."""
     try:
         return evaluate(spec.v, t_grid, 0.0)
     except EvalError as cause:
-        _locate_failure(spec.v, t_grid, np.zeros(1), cause, "v cannot be evaluated at t={t}")
+        _locate_failure(spec.v, t_grid, np.zeros(1), cause, _V_FAILS)
 
 
 def _report_failing_v(spec: ProblemSpec, n: int) -> None:
@@ -175,9 +179,9 @@ def _report_failing_v(spec: ProblemSpec, n: int) -> None:
     try:
         # kept by the solve, so this evaluates v only where it failed there
         spec._grid(n)
-    except EvalError:
+    except EvalError as cause:
         try:
-            _evaluate_v(spec, _interior_nodes(n))
+            _locate_failure(spec.v, _interior_nodes(n), np.zeros(1), cause, _V_FAILS)
         except EvalError as exc:
             sys.stderr.write(f"error: {exc}\n")
 

@@ -31,7 +31,8 @@ __all__ = [
 
 _PIVOT_REL_TOL = 1e-12
 # Thomas elimination up to this order, cyclic reduction above it (the two
-# cross near order 1000; small solves stay bitwise those of Thomas)
+# cross near order 640 on a 2-core x86-64 with numpy 2.4; small solves stay
+# bitwise those of Thomas)
 _THOMAS_MAX_ORDER = 2048
 
 

@@ -355,18 +355,17 @@ class _Program:
 
     With each number the walk records what its value reads: 1 for t, 2
     for x, 3 for both and 0 for neither, the OR of its operands'.  ``reads[s]`` is
-    that of ``steps[s]``, and ``result_reads`` that of the result.
+    that of ``steps[s]``.
 
-    Values live in a list: t, x, the result, then the constants and the
-    other results.  A result holds its slot from its operation to its
-    last user, and other results use the slot outside that span.
+    Values live in a list: t, x, the roots' results, then the constants
+    and the other results.  A result holds its slot from its operation to
+    its last user, and other results use the slot outside that span.
 
     The roots are walked in turn with one numbering, so a root's steps
     follow those of the roots before it, and it runs only the operations
     they do not.  ``roots`` holds, per root, its result slot, what it
-    reads, the number of steps that complete it, and the slots of the
-    results that no later root reads.  No step after a root's operation
-    reuses its slot.  ``result`` and ``result_reads`` are the first root's.
+    reads and the number of steps that complete it.  No step after a
+    root's operation reuses its slot.
     """
 
     def __init__(self, *roots):
@@ -480,21 +479,10 @@ class _Program:
         self.reads = [reads[n] for n in range(2, len(values)) if type(values[n]) is tuple]
         # the steps of the operations numbered before each root's end
         operations = [n for n in range(2, len(values)) if type(values[n]) is tuple]
-        ends = [bisect.bisect_left(operations, made) for _, made in walks]
-        # Backwards over the roots: live holds the slots of the results that
-        # the roots after k read from before their steps.
-        self.roots = []
-        live = set()
-        for k in reversed(range(len(roots))):
-            dead = [s for s in range(2, len(template)) if template[s] is None and s not in live]
-            self.roots.append((results[k], reads[walks[k][0]], ends[k], dead))
-            if k:
-                live.add(results[k])
-                for _, i, j, out in reversed(steps[ends[k - 1] : ends[k]]):
-                    live.discard(out)
-                    live.update((i,) if j is None else (i, j))
-        self.roots.reverse()
-        self.result, self.result_reads = self.roots[0][:2]
+        self.roots = [
+            (result, reads[n], bisect.bisect_left(operations, made))
+            for result, (n, made) in zip(results, walks)
+        ]
 
 
 def evaluate(expr: Expr, t=0.0, x=0.0):
@@ -509,28 +497,12 @@ def evaluate(expr: Expr, t=0.0, x=0.0):
     the whole program and keeps nothing between calls.
     """
     t = _finite(t)
-    x = _finite(x)
     program = expr._program
-    shape = np.broadcast(t, x).shape
-    env = program.template.copy()
-    env[0] = t
-    env[1] = x
-    _execute(program.steps, env)
-    return _shaped(env[program.result], shape, t, x)
-
-
-def _shaped(result, shape, t, x):
-    """A result at (t, x) as evaluate returns it: a float, or an array of ``shape``, theirs."""
-    if shape == ():
-        return float(result)
-    # A fresh full-shape array is the caller's alone; an input, a scalar or
-    # a partial broadcast is not, and is copied.
-    fresh = isinstance(result, np.ndarray) and result is not t and result is not x
-    if fresh and result.shape == shape and result.flags.c_contiguous:
-        return result
-    out = np.empty(shape)
-    np.copyto(out, result)  # keeps -0.0, as a copy does
-    return out
+    try:
+        with np.errstate(**_TRAPS):
+            return _root(program, _point(program, t, x), 0)
+    except FloatingPointError as exc:
+        raise EvalError(f"non-finite result: {exc}") from exc
 
 
 def _point(program, t, x):
@@ -546,21 +518,27 @@ def _point(program, t, x):
 
 
 def _root(program, env, k):
-    """Root k of ``program`` at the point of ``env``, as evaluate gives it.
+    """Root k of ``program`` at the point of ``env``: a float, or an array of the point's shape.
 
     Roots 0..k-1 must have run on env.  This runs only the steps that root
     k adds to theirs, under the caller's traps (evaluate's are _TRAPS), so
-    a trapped flag raises FloatingPointError.  It then drops from env the
-    results that no later root reads.  Where two roots are one value, they
-    are given as one array.
+    a trapped flag raises FloatingPointError.  Where two roots are one
+    value, they are given as one array.
     """
-    result, _, end, dead = program.roots[k]
+    result, _, end = program.roots[k]
     _run(program.steps[program.roots[k - 1][2] if k else 0 : end], env)
-    t, x = env[0], env[1]
-    value = _shaped(env[result], np.broadcast(t, x).shape, t, x)
-    for slot in dead:
-        env[slot] = None
-    return value
+    t, x, result = env[0], env[1], env[result]
+    shape = np.broadcast(t, x).shape
+    if shape == ():
+        return float(result)
+    # A fresh full-shape array is the caller's alone; an input, a scalar or
+    # a partial broadcast is not, and is copied.
+    fresh = isinstance(result, np.ndarray) and result is not t and result is not x
+    if fresh and result.shape == shape and result.flags.c_contiguous:
+        return result
+    out = np.empty(shape)
+    np.copyto(out, result)  # keeps -0.0, as a copy does
+    return out
 
 
 def _blocks(expr: Expr, t: np.ndarray, x: np.ndarray):
@@ -579,9 +557,7 @@ def _blocks(expr: Expr, t: np.ndarray, x: np.ndarray):
     is kept on the tree.
     """
     program = expr._program
-    env = program.template.copy()
-    env[0] = t[:, None]
-    env[1] = x[None, :]
+    env = _point(program, t[:, None], x[None, :])
     where = list(range(len(env)))  # a program slot -> the slot of its value now
     t_only = [0]  # the slots of the values on t alone
     once, each = [], []
@@ -598,7 +574,8 @@ def _blocks(expr: Expr, t: np.ndarray, x: np.ndarray):
                 t_only.append(where[k])
     _execute(once, env)
     columns = [(k, env[k]) for k in t_only]
-    result, depends = where[program.result], program.result_reads
+    result, depends, _ = program.roots[0]
+    result = where[result]
 
     def block(start: int, stop: int) -> np.ndarray:
         for k, column in columns:

@@ -160,7 +160,10 @@ def _locate_failure(expr: Expr, t_grid: np.ndarray, x_grid: np.ndarray, cause: E
     evaluations.  The message is ``where`` at that t and x, then expr's
     error on scalars there; where those do not fail, this raises ``cause``.
     """
-    t, x = np.repeat(t_grid, x_grid.size), np.tile(x_grid, t_grid.size)
+    # views where the box has one row or one column, as v's has
+    shape = (t_grid.size, x_grid.size)
+    t = np.broadcast_to(t_grid[:, None], shape).reshape(-1)
+    x = np.broadcast_to(x_grid[None, :], shape).reshape(-1)
     # the first failure lies in [lo, hi), and none before lo
     lo, hi = 0, t.size
     while hi - lo > 1:

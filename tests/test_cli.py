@@ -432,6 +432,26 @@ def test_naming_a_late_failing_v_takes_few_evaluations(tmp_path, capsys, monkeyp
     assert calls.count("v") <= 25
 
 
+def test_a_failing_solve_evaluates_v_on_every_node_twice(tmp_path, capsys, monkeypatch):
+    # once in the solve's grid and once when the grid is asked for again;
+    # the halving then takes v's error from that and evaluates v on at most
+    # half of the nodes at a time
+    n = 100_000
+    sizes = []
+    for module in (cli, problem_module):
+        def counting(expr, t=0.0, x=0.0, original=module.evaluate):
+            sizes.append(np.broadcast(t, x).size)
+            return original(expr, t, x)
+
+        monkeypatch.setattr(module, "evaluate", counting)
+    path = write(tmp_path, "f = x/4\nv = 1/(t - 0.99999)\nA = 0.5\nB = 1\nfx_lower = -0.5\n")
+    argv = ["solve", "--config", str(path), "--n", str(n), "--output", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: v cannot be evaluated at t=0.99999: division by zero\n"
+    assert sizes.count(n - 1) == 2
+    assert all(size <= (n - 1) // 2 + 1 for size in sizes if size != n - 1)
+
+
 def test_converge_names_v_and_the_first_t_where_it_fails(tmp_path, capsys):
     # v fails first on the 8 x 8 = 64 reference grid, at its node 32/64
     path = write(tmp_path, "f = x/4\nv = 1/(t - 0.5)\nA = 0.5\nB = 0.5\nfx_lower = -1\n")

@@ -822,11 +822,11 @@ def test_compiling_runs_no_arithmetic(expr):
     trees = (expr, *_corpus_trees())  # built, with their evaluations, before the count
     calls = []
 
-    def execute(steps, env):
+    def run(steps, env):
         calls.append(steps)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expr_module, "_execute", execute)
+        patch.setattr(expr_module, "_run", run)
         for tree in trees:
             expr_module._Program(tree)
     assert calls == []
@@ -892,7 +892,7 @@ def test_corpus_joint_program_sizes(name):
     program = spec._program
     assert len(program.steps) == _CORPUS_JOINT_STEPS[name]
     # f's steps come first, as many as in f's own program; f_x's complete the list
-    assert [end for _, _, end, _ in program.roots] == [len(spec.f._program.steps), len(program.steps)]
+    assert [end for _, _, end in program.roots] == [len(spec.f._program.steps), len(program.steps)]
 
 
 @pytest.mark.parametrize("name", corpus.names())
@@ -941,8 +941,7 @@ def test_joint_program_runs_each_root_as_evaluate(first, second, grid):
     # a third root made of the first two shares all their steps
     roots = (first, second, BinOp("*", second, first))
     program = expr_module._Program(*roots)
-    assert (program.result, program.result_reads) == program.roots[0][:2]
-    for result, _, end, _ in program.roots:
+    for result, _, end in program.roots:
         assert all(out != result for *_, out in program.steps[end:])
     t, *xs = grid
     for x in xs:
@@ -1113,7 +1112,7 @@ def test_programs_use_only_the_fixed_instructions(expr):
 
 
 def _replayed_reads(program):
-    """What each step of ``program`` reads, and what its result reads, by a replay.
+    """What each step of ``program`` reads, and what its first root reads, by a replay.
 
     The steps run in order over what each slot holds: 1 for t, 2 for x, 3
     for both and 0 for neither, the OR of a step's operands'.
@@ -1124,7 +1123,7 @@ def _replayed_reads(program):
     for _, i, j, k in program.steps:
         held[k] = held[i] | (0 if j is None else held[j])
         reads.append(held[k])
-    return reads, held[program.result]
+    return reads, held[program.roots[0][0]]
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -1136,9 +1135,9 @@ def _replayed_reads(program):
 @example(expr=parse("sin(t)*x + sin(t)^2 - sin(x)"))
 def test_compiler_records_what_each_step_reads(expr):
     program = expr._program
-    assert (program.reads, program.result_reads) == _replayed_reads(program)
+    assert (program.reads, program.roots[0][1]) == _replayed_reads(program)
     uses = expr_module.uses_var(expr, "t") + 2 * expr_module.uses_var(expr, "x")
-    assert program.result_reads == uses
+    assert program.roots[0][1] == uses
 
 
 def test_binding_runs_every_step_per_call(monkeypatch):

@@ -498,6 +498,25 @@ def test_halving_names_the_t_of_v_that_the_scalar_rescan_names(tree, op, pole, n
     assert _located(problem_module._locate_failure, expr, t_grid, np.zeros(1), **where) == want
 
 
+def test_naming_where_v_fails_copies_no_nodes():
+    # v fails only at the last of the 10^6 interior nodes.  The halving reads
+    # the nodes and x = 0 through views, so its peak is about that of v on
+    # half the nodes: its difference, its zero mask and its quotient.
+    t = problem_module._interior_nodes(10**6)
+    v = parse("1/(t - 0.999999)")
+    with pytest.raises(EvalError) as failed:
+        evaluate(v, t, 0.0)
+    where = "v cannot be evaluated at t={t}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(EvalError, match=r"^v cannot be evaluated at t=0.999999: division by zero$"):
+            problem_module._locate_failure(v, t, np.zeros(1), failed.value, where)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * t.nbytes
+
+
 @pytest.mark.parametrize("check", [check_growth, check_fx_lower])
 def test_check_memory_stays_below_one_full_box_array(check):
     spec = corpus.build("f1")
