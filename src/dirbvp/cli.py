@@ -24,12 +24,11 @@ import numpy as np
 
 from .convergence import ConvergenceTable, StudyError, run_study
 from .corpus import ConfigError, ProblemConfig, build_problem
-from .expr import EvalError, ParseError, evaluate
+from .expr import EvalError, ParseError
 from .grid import grid_size, norms, random_element
 from .problem import (
     ProblemSpec,
-    _interior_nodes,
-    _locate_failure,
+    _evaluate_v,
     apriori_bound,
     check_fx_lower,
     check_growth,
@@ -39,7 +38,7 @@ from .solver import CONVERGED, EVAL_ERROR, SolverConfig, newton_solve
 
 # Not called here; kept because the benchmark's tracer patches these names on this module.
 from .convergence import manufacture  # noqa: F401
-from .expr import parse  # noqa: F401
+from .expr import evaluate, parse  # noqa: F401
 from .problem import make_spec  # noqa: F401
 
 __all__ = ["ProblemConfig", "ConfigError", "load_config", "build_problem", "run", "main"]
@@ -162,33 +161,18 @@ def _report_dict(report) -> dict:
     }
 
 
-# the head of the message that names the first t where v fails
-_V_FAILS = "v cannot be evaluated at t={t}"
-
-
-def _evaluate_v(spec: ProblemSpec, t_grid: np.ndarray) -> np.ndarray:
-    """v on ``t_grid``; where it fails, an EvalError that names the first failing t."""
-    try:
-        return evaluate(spec.v, t_grid, 0.0)
-    except EvalError as cause:
-        _locate_failure(spec.v, t_grid, np.zeros(1), cause, _V_FAILS)
-
-
 def _report_failing_v(spec: ProblemSpec, n: int) -> None:
     """Write an ``error:`` line to stderr if v fails on the interior nodes of n subintervals."""
     try:
-        # kept by the solve, so this evaluates v only where it failed there
+        # kept by the solve, v's failure named, so this evaluates nothing
         spec._grid(n)
-    except EvalError as cause:
-        try:
-            _locate_failure(spec.v, _interior_nodes(n), np.zeros(1), cause, _V_FAILS)
-        except EvalError as exc:
-            sys.stderr.write(f"error: {exc}\n")
+    except EvalError as exc:
+        sys.stderr.write(f"error: {exc}\n")
 
 
 def _sample_range(spec: ProblemSpec) -> float:
     """The half-width in x of the box that ``check`` samples."""
-    v_sup = float(np.max(np.abs(_evaluate_v(spec, np.linspace(0.0, 1.0, 1001)))))
+    v_sup = float(np.max(np.abs(_evaluate_v(spec.v, np.linspace(0.0, 1.0, 1001)))))
     # Solutions live in [-M, M]; sample twice that box when M exists.
     if spec.declared_A < 1.0:
         return 2.0 * apriori_bound(spec, v_sup)

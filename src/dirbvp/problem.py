@@ -35,13 +35,10 @@ _WITNESS_CAP = 10
 # 8 x 2001 doubles is 125 KiB, under glibc's default 128 KiB mmap threshold, so
 # a block's temporaries come from the heap and reuse its pages, block after block
 _BLOCK_ROWS = 8
-# How many grid sizes a spec keeps the nodes and v of, the most recently used
+# How many grid sizes a spec keeps the nodes and v (or v's failure) of, the most recently used
 _GRIDS = 8
-
-
-def _interior_nodes(n: int) -> np.ndarray:
-    """The nodes k/n, k = 1..n-1, of n subintervals."""
-    return np.arange(1, n) / n
+# the head of the message that names the first t where v fails
+_V_FAILS = "v cannot be evaluated at t={t}"
 
 
 @dataclass(frozen=True)
@@ -64,27 +61,34 @@ class ProblemSpec:
 
     @functools.cached_property
     def _grids(self) -> dict:
-        # n -> _grid(n), oldest use first
+        # n -> _grid(n), or the message of its EvalError; oldest use first
         return {}
 
     def _grid(self, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """The interior nodes of n subintervals, v there and sup|v| there.
+        """The interior nodes k/n, k = 1..n-1, v there and sup|v| there.
 
         v is evaluated once per n, which checks the nodes finite, and both
-        arrays are read-only; the spec keeps them for the _GRIDS most
-        recently used n.  Where v fails on the nodes, this raises
-        EvalError on every call and keeps nothing.
+        arrays are read-only.  Where v fails on the nodes, this raises an
+        EvalError that names the first failing t.  The spec keeps either
+        outcome for the _GRIDS most recently used n, so a later call for
+        a kept n evaluates nothing.
         """
         grids = self._grids
         grid = grids.pop(n, None)
         if grid is None:
-            t = _interior_nodes(n)
-            v_vals = evaluate(self.v, t, 0.0)
-            t.flags.writeable = v_vals.flags.writeable = False
-            grid = (t, v_vals, float(np.max(np.abs(v_vals))))
+            t = np.arange(1, n) / n
+            try:
+                v_vals = _evaluate_v(self.v, t)
+            except EvalError as exc:
+                grid = str(exc)
+            else:
+                t.flags.writeable = v_vals.flags.writeable = False
+                grid = (t, v_vals, float(np.max(np.abs(v_vals))))
             if len(grids) >= _GRIDS:
                 del grids[next(iter(grids))]
         grids[n] = grid
+        if isinstance(grid, str):
+            raise EvalError(grid)
         return grid
 
 
@@ -179,6 +183,14 @@ def _locate_failure(expr: Expr, t_grid: np.ndarray, x_grid: np.ndarray, cause: E
     except EvalError as exc:
         raise EvalError(f"{where.format(t=t[lo], x=x[lo])}: {exc}") from exc
     raise cause
+
+
+def _evaluate_v(v: Expr, t: np.ndarray) -> np.ndarray:
+    """v on the nodes ``t``; where it fails, an EvalError that names the first failing t."""
+    try:
+        return evaluate(v, t, 0.0)
+    except EvalError as cause:
+        _locate_failure(v, t, np.zeros(1), cause, _V_FAILS)
 
 
 def _sample_grids(x_range: float, samples_t: int, samples_x: int):

@@ -432,10 +432,9 @@ def test_naming_a_late_failing_v_takes_few_evaluations(tmp_path, capsys, monkeyp
     assert calls.count("v") <= 25
 
 
-def test_a_failing_solve_evaluates_v_on_every_node_twice(tmp_path, capsys, monkeypatch):
-    # once in the solve's grid and once when the grid is asked for again;
-    # the halving then takes v's error from that and evaluates v on at most
-    # half of the nodes at a time
+def test_a_failing_solve_evaluates_v_on_every_node_once(tmp_path, capsys, monkeypatch):
+    # once in the solve's grid, whose halving evaluates v on at most half of
+    # the nodes at a time; the spec keeps the named failure for the report
     n = 100_000
     sizes = []
     for module in (cli, problem_module):
@@ -448,7 +447,7 @@ def test_a_failing_solve_evaluates_v_on_every_node_twice(tmp_path, capsys, monke
     argv = ["solve", "--config", str(path), "--n", str(n), "--output", str(tmp_path / "x.csv")]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: v cannot be evaluated at t=0.99999: division by zero\n"
-    assert sizes.count(n - 1) == 2
+    assert sizes.count(n - 1) == 1
     assert all(size <= (n - 1) // 2 + 1 for size in sizes if size != n - 1)
 
 
@@ -462,6 +461,23 @@ def test_converge_names_v_and_the_first_t_where_it_fails(tmp_path, capsys):
         "error: v cannot be evaluated at t=0.5: division by zero\n"
     )
     assert out.read_text() == "N,sup_error,empirical_order,derivative_bound\n"
+
+
+def test_a_failing_converge_reports_v_without_evaluating_it(tmp_path, capsys, monkeypatch):
+    # the study's reference solve names where v fails; the report reads that
+    calls = count_v_evaluations(monkeypatch)
+    reported = []
+
+    def report(*args):
+        reported.append(len(calls))
+        cli_report(*args)
+
+    cli_report = cli._report_failing_v
+    monkeypatch.setattr(cli, "_report_failing_v", report)
+    path = write(tmp_path, "f = x/4\nv = 1/(t - 0.5)\nA = 0.5\nB = 0.5\nfx_lower = -1\nNs = 4,8\n")
+    assert main(["converge", "--config", str(path), "--output", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err.endswith("error: v cannot be evaluated at t=0.5: division by zero\n")
+    assert reported == [len(calls)] and calls.count("v") > 0
 
 
 def test_check_clean_exit_code(tmp_path, capsys):

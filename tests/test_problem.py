@@ -489,7 +489,7 @@ def test_halving_names_the_point_of_the_scalar_rescan(tree, op, pole, samples_t,
 @example(tree=Num(1.0), op="+", pole="t", n=1000, where_t=0.0)
 @example(tree=Num(1.0), op="+", pole="t", n=1000, where_t=1.0)
 def test_halving_names_the_t_of_v_that_the_scalar_rescan_names(tree, op, pole, n, where_t):
-    t_grid = problem_module._interior_nodes(n)
+    t_grid = np.arange(1, n) / n
     t0 = t_grid[_index(where_t, t_grid.size)]
     expr = _with_pole(tree, op, pole, float(t0), 0.0)
     where = {"where": "v cannot be evaluated at t={t}"}
@@ -502,7 +502,7 @@ def test_naming_where_v_fails_copies_no_nodes():
     # v fails only at the last of the 10^6 interior nodes.  The halving reads
     # the nodes and x = 0 through views, so its peak is about that of v on
     # half the nodes: its difference, its zero mask and its quotient.
-    t = problem_module._interior_nodes(10**6)
+    t = np.arange(1, 10**6) / 10**6
     v = parse("1/(t - 0.999999)")
     with pytest.raises(EvalError) as failed:
         evaluate(v, t, 0.0)

@@ -433,21 +433,25 @@ def test_grid_table_keeps_the_most_recent_sizes_read_only(monkeypatch):
                 array[0] = 1.0
 
 
-def test_grid_table_keeps_no_v_that_fails(monkeypatch):
+def test_grid_table_keeps_the_failure_of_v(monkeypatch):
     # t = 5/10 is a node of N = 10, where v divides by zero
     calls = count_evaluations(monkeypatch)
     spec = make_spec("x", "1/(t - 0.5)", A=1.0, B=1.0, fx_lower=0.0)
-    for _ in range(3):
+    # v on the 9 nodes, then halving them: nodes 1..4, 5..6 and 5, then the
+    # scalar at t = 0.5
+    for v_evaluations in (5, 0, 0):
         calls.clear()
         report = newton_solve(spec, 10)
         assert report.status == EVAL_ERROR and math.isnan(report.residual_norm)
-        assert sum(expr is spec.v for expr in calls) == 1
-        assert spec._grids == {}
+        assert sum(expr is spec.v for expr in calls) == v_evaluations
+        assert list(spec._grids) == [10]
+    calls.clear()
     for operation in (residual, jacobian):
-        with pytest.raises(EvalError, match="division by zero"):
+        with pytest.raises(EvalError, match=r"^v cannot be evaluated at t=0.5: division by zero$"):
             operation(spec, GridFunction.zeros(10))
+    assert not any(expr is spec.v for expr in calls)
     assert newton_solve(spec, 9).status == CONVERGED
-    assert list(spec._grids) == [9]
+    assert list(spec._grids) == [10, 9]
 
 
 def tree_nodes(tree):
