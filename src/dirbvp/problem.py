@@ -39,19 +39,56 @@ _BLOCK_ROWS = 8
 _GRIDS = 8
 # the head of the message that names the first t where v fails
 _V_FAILS = "v cannot be evaluated at t={t}"
+# how far from zero x_star may be at t = 0 and t = 1
+_BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Right-hand side f, its x-derivative, forcing v, declared constants, and x*."""
+    """Right-hand side f, forcing v, declared constants, and x*; f_x is derived from f.
+
+    Every spec checks its own fields when it is built, by the constructor,
+    ``make_spec``, ``manufacture`` or ``dataclasses.replace``: x_star, when
+    set, is an expression in t that vanishes at t = 0 and t = 1 (within
+    1e-12); A, B and fx_lower are finite numbers, not booleans, stored as
+    floats, with A and B positive; v is an expression in t; and f is
+    differentiable in x.  The first failing check raises, in that order.
+    """
 
     f: Expr
-    fx: Expr
     v: Expr
     declared_A: float
     declared_B: float
     declared_fx_lower: float
     x_star: Expr | None = None  # the exact solution; None when it is not known
+
+    def __post_init__(self):
+        if self.x_star is not None:
+            if uses_var(self.x_star, "x"):
+                raise ValueError("x_star must be an expression in t only")
+            for endpoint in (0.0, 1.0):
+                value = evaluate(self.x_star, endpoint, 0.0)
+                if abs(value) > _BOUNDARY_TOL:
+                    raise ValueError(
+                        f"x_star({endpoint}) = {value} violates the zero boundary condition"
+                    )
+        A, B, fx_lower = self.declared_A, self.declared_B, self.declared_fx_lower
+        if any(isinstance(c, (bool, np.bool_)) for c in (A, B, fx_lower)):
+            raise ValueError("declared constants A, B and fx_lower must be numbers, not booleans")
+        if not all(math.isfinite(c) for c in (A, B, fx_lower)):
+            raise ValueError("declared constants A, B and fx_lower must be finite")
+        if A <= 0.0 or B <= 0.0:
+            raise ValueError("growth constants A and B must be positive")
+        if uses_var(self.v, "x"):
+            raise ValueError("the forcing term v must depend on t only")
+        for name, c in (("declared_A", A), ("declared_B", B), ("declared_fx_lower", fx_lower)):
+            object.__setattr__(self, name, float(c))
+        self.fx  # a non-differentiable f fails here, not at its first solve
+
+    @functools.cached_property
+    def fx(self) -> Expr:
+        """The symbolic derivative of f in x, taken once per spec."""
+        return diff(self.f, "x")
 
     @functools.cached_property
     def _program(self):
@@ -133,25 +170,17 @@ def as_expr(value, name: str) -> Expr:
     return value
 
 
-def make_spec(f, v, *, A: float, B: float, fx_lower: float) -> ProblemSpec:
-    """Build a validated problem.
+def make_spec(f, v, *, A: float, B: float, fx_lower: float, x_star=None) -> ProblemSpec:
+    """Build a problem from expression trees or source strings; ``ProblemSpec`` checks it.
 
-    f and v may be expression trees or source strings.  f must be
-    differentiable in x: f_x is always its symbolic derivative, and there
-    is no way to supply one.  ``abs`` is therefore usable in v only; in f
-    it raises ``NonDifferentiableError``.
+    f_x is always the symbolic derivative of f, and there is no way to
+    supply one.  ``abs`` is therefore usable in v only; in f it raises
+    ``NonDifferentiableError``.  x_star, the exact solution, is None
+    unless given.
     """
-    f = as_expr(f, "f")
-    v = as_expr(v, "v")
-    if any(isinstance(c, (bool, np.bool_)) for c in (A, B, fx_lower)):
-        raise ValueError("declared constants A, B and fx_lower must be numbers, not booleans")
-    if not all(math.isfinite(c) for c in (A, B, fx_lower)):
-        raise ValueError("declared constants A, B and fx_lower must be finite")
-    if A <= 0.0 or B <= 0.0:
-        raise ValueError("growth constants A and B must be positive")
-    if uses_var(v, "x"):
-        raise ValueError("the forcing term v must depend on t only")
-    return ProblemSpec(f, diff(f, "x"), v, float(A), float(B), float(fx_lower))
+    f, v = as_expr(f, "f"), as_expr(v, "v")
+    x_star = None if x_star is None else as_expr(x_star, "x_star")
+    return ProblemSpec(f, v, A, B, fx_lower, x_star)
 
 
 def _locate_failure(expr: Expr, t_grid: np.ndarray, x_grid: np.ndarray, cause: EvalError,
@@ -194,6 +223,9 @@ def _evaluate_v(v: Expr, t: np.ndarray) -> np.ndarray:
 
 
 def _sample_grids(x_range: float, samples_t: int, samples_x: int):
+    # True would pass as a box of half-width 1
+    if isinstance(x_range, (bool, np.bool_)):
+        raise ValueError(f"x_range must be a number, not a boolean, got {x_range!r}")
     if x_range <= 0.0:
         raise ValueError("x_range must be positive")
     # the grid spans 2*x_range, which must be a float too
@@ -297,8 +329,12 @@ def classify(spec: ProblemSpec) -> TheoremClassification:
 
 
 def apriori_bound(spec: ProblemSpec, v_sup: float) -> float:
-    """Uniform bound M = (sup|v| + B) / (1 - A) on every discrete solution; v_sup >= 0 is finite."""
-    if not 0.0 <= v_sup < math.inf:
+    """Uniform bound M = (sup|v| + B) / (1 - A) on every discrete solution.
+
+    v_sup is a finite nonnegative number, not a boolean.
+    """
+    # True and False would pass as 1 and 0
+    if isinstance(v_sup, (bool, np.bool_)) or not 0.0 <= v_sup < math.inf:
         raise ValueError(f"v_sup must be finite and nonnegative, got {v_sup}")
     if spec.declared_A >= 1.0:
         raise ValueError("a-priori bound undefined: requires declared_A < 1")

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from dirbvp.convergence import (
     manufacture,
     run_study,
 )
-from dirbvp.expr import NonDifferentiableError, evaluate
+from dirbvp.expr import NonDifferentiableError, evaluate, parse
 from dirbvp.grid import GridFunction
 from dirbvp.problem import ProblemSpec, make_spec
 from dirbvp.solver import multi_start_uniqueness, newton_solve
@@ -93,6 +94,22 @@ def test_reference_follows_x_star(name):
         assert run_study(spec, [8, 16]).reference == "manufactured"
     # without x_star the same problem is studied against a finer grid
     assert run_study(replace(spec, x_star=None), [8, 16]).reference == "fine-grid"
+
+
+@pytest.mark.parametrize(
+    "x_star, message",
+    [
+        ("t", "x_star(1.0) = 1.0 violates the zero boundary condition"),
+        ("x*t", "x_star must be an expression in t only"),
+    ],
+)
+def test_replaced_x_star_is_checked(x_star, message):
+    # a study against x* = t has sup_error 1 on every row, and x* = x*t is
+    # taken at x = 0; the spec refuses both, as manufacture does
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(corpus.build("f1_sin"), x_star=parse(x_star))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        manufacture(F1, x_star, A=0.1, B=0.5, fx_lower=-0.25)
 
 
 def test_derivative_bound_quadratic_closed_form():

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +13,18 @@ from dirbvp import corpus
 from dirbvp import expr as expr_module
 from dirbvp import problem as problem_module
 from dirbvp.convergence import manufacture
-from dirbvp.expr import BinOp, Call, EvalError, Neg, Num, Var, evaluate, parse
+from dirbvp.expr import (
+    BinOp,
+    Call,
+    EvalError,
+    Neg,
+    NonDifferentiableError,
+    Num,
+    Var,
+    diff,
+    evaluate,
+    parse,
+)
 from dirbvp.problem import (
     _BLOCK_ROWS,
     _WITNESS_CAP,
@@ -109,16 +122,9 @@ def test_check_growth_zero_function():
 
 
 def test_check_growth_reflexive_on_the_bound_itself():
-    # f literally equal to A|x| + B can never violate its own bound
-    # make_spec cannot differentiate abs; check_growth reads only f
-    spec = ProblemSpec(
-        f=parse("0.3*abs(x) + 0.2"),
-        fx=parse("0.3*x/sqrt(x^2)"),
-        v=parse("0"),
-        declared_A=0.3,
-        declared_B=0.2,
-        declared_fx_lower=-0.3,
-    )
+    # f literally equal to A|x| + B can never violate its own bound; a spec
+    # cannot differentiate abs, but sqrt(x*x) is |x| exactly in round-to-nearest
+    spec = make_spec("0.3*sqrt(x*x) + 0.2", "0", A=0.3, B=0.2, fx_lower=-0.3)
     assert not check_growth(spec, x_range=25.0).violated
 
 
@@ -142,6 +148,15 @@ def test_check_fx_lower_violated_everywhere():
 def test_check_fx_lower_zero_function():
     spec = make_spec("0", "0", A=0.3, B=0.2, fx_lower=-0.5)
     assert not check_fx_lower(spec, x_range=10.0).violated
+
+
+@pytest.mark.parametrize("x_range", [True, np.True_])
+@pytest.mark.parametrize("check", [check_growth, check_fx_lower])
+def test_check_rejects_a_boolean_sample_box(check, x_range):
+    # True would pass as a box of half-width 1
+    spec = make_spec("x/4", "1", A=0.5, B=1.0, fx_lower=-0.5)
+    with pytest.raises(ValueError, match="^x_range must be a number, not a boolean, got "):
+        check(spec, x_range)
 
 
 @pytest.mark.parametrize("x_range", [math.inf, math.nan, 1e308])
@@ -236,10 +251,10 @@ def _reference_scan(condition, expr, t_grid, x_grid, rhs, violates) -> Condition
     )
 
 
-def _report_bits(check, spec, **box):
+def _report_bits(check, *args, **box):
     """A report with its witnesses spelled bit for bit, or the message of its EvalError."""
     try:
-        report = check(spec, **box)
+        report = check(*args, **box)
     except EvalError as exc:
         return str(exc)
     witnesses = tuple(tuple(value.hex() for value in w) for w in report.witnesses)
@@ -308,13 +323,16 @@ def test_scan_along_used_axes_matches_full_box_scan(expr, level, samples_t, samp
         lhs = evaluate(expr, t_grid[:, None], x_grid[None, :])
     except EvalError:
         lhs = np.zeros(1)  # both scans raise; the bounds do not matter
-    # growth fails where |lhs| - A|x| > B, fx_lower where -lhs > -fx_lower
-    spec = problem_module.ProblemSpec(
-        f=expr, fx=expr, v=Num(0.0), declared_A=_GROWTH_A,
-        declared_B=float(_bound_below(np.abs(lhs) - _GROWTH_A * np.abs(x_grid), level)),
-        declared_fx_lower=-float(_bound_below(-lhs, level)),
-    )
-    _assert_scan_matches_reference(spec, x_range=2.0, samples_t=samples_t, samples_x=samples_x)
+    # growth fails where |lhs| - A|x| > B, fx_lower where -lhs > -fx_lower; expr
+    # need not be differentiable, so it is scanned as both bounds' left side,
+    # with the bounds and tests that check_growth and check_fx_lower make
+    B = float(_bound_below(np.abs(lhs) - _GROWTH_A * np.abs(x_grid), level))
+    growth = _GROWTH_A * np.abs(x_grid) + B
+    fx_lower = np.full(samples_x, -float(_bound_below(-lhs, level)))
+    for args in (("growth", expr, t_grid, x_grid, growth, lambda f: np.abs(f, out=f) > growth),
+                 ("fx_lower", expr, t_grid, x_grid, fx_lower, lambda fx: fx < fx_lower)):
+        got = _report_bits(problem_module._scan, *args)
+        assert got == _report_bits(_reference_scan, *args), args[0]
 
 
 @pytest.mark.parametrize(
@@ -577,10 +595,58 @@ def test_apriori_bound():
     at_one = make_spec("0", "0", A=1.0, B=0.5, fx_lower=0.0)
     with pytest.raises(ValueError):
         apriori_bound(at_one, 1.0)
-    # the bound of a nonnegative finite sup|v|, else no bound
-    for bad in (-1.0, -np.inf, np.nan, np.inf):
+    # the bound of a nonnegative finite sup|v|, else no bound; True would pass as 1
+    for bad in (-1.0, -np.inf, np.nan, np.inf, True, False, np.True_):
         with pytest.raises(ValueError, match="v_sup must be finite and nonnegative"):
             apriori_bound(spec, bad)
+
+
+def test_spec_fields_and_positional_order():
+    # f_x is no field: it is derived from f, and the constants are stored as floats
+    assert [field.name for field in fields(ProblemSpec)] == [
+        "f", "v", "declared_A", "declared_B", "declared_fx_lower", "x_star"]
+    spec = ProblemSpec(parse("x/4"), parse("1"), 1, np.float64(0.5), -1, parse("t*(t - 1)"))
+    constants = (spec.declared_A, spec.declared_B, spec.declared_fx_lower)
+    assert constants == (1.0, 0.5, -1.0) and all(type(c) is float for c in constants)
+    assert spec.fx == diff(parse("x/4"), "x")
+    assert spec.x_star == parse("t*(t - 1)")
+
+
+def test_replaced_f_takes_its_own_fx():
+    # f_x follows f, so the fx_lower check reads the f_x of -x/2, -0.5, which is
+    # below f1's declared -0.25, as it is for the same f through make_spec
+    spec = replace(corpus.build("f1"), f=parse("-x/2"))
+    built = make_spec("-x/2", "1", A=0.1, B=0.5, fx_lower=-0.25)
+    assert spec == built and spec.fx == built.fx
+    assert evaluate(spec.fx, 0.5, 1.0) == -0.5
+    for report in (check_fx_lower(spec, 2.0), check_fx_lower(built, 2.0)):
+        assert report.verdict == "violated"
+    # and a replaced f must be differentiable, as make_spec's must
+    with pytest.raises(NonDifferentiableError, match="abs is not differentiable"):
+        replace(corpus.build("f1"), f=parse("abs(x)"))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"v": parse("x + 1")}, "the forcing term v must depend on t only"),
+        ({"declared_B": math.nan}, "declared constants A, B and fx_lower must be finite"),
+        ({"declared_fx_lower": math.nan}, "declared constants A, B and fx_lower must be finite"),
+        ({"declared_A": -0.5}, "growth constants A and B must be positive"),
+        ({"declared_B": True},
+         "declared constants A, B and fx_lower must be numbers, not booleans"),
+    ],
+)
+def test_replace_checks_the_spec_it_builds(change, message):
+    # replace refuses each change as make_spec does, with the same message; a
+    # spec with one would take v at x = 0 or hold a bound that compares false
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(corpus.build("f1"), **change)
+    args = {"f": F1, "v": "1", "A": 0.1, "B": 0.5, "fx_lower": -0.25}
+    renamed = {"declared_A": "A", "declared_B": "B", "declared_fx_lower": "fx_lower"}
+    args.update({renamed.get(key, key): value for key, value in change.items()})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_spec(**args)
 
 
 def test_condition_report_invariant():

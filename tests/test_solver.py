@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -296,16 +296,40 @@ def test_newton_fx_that_fails_alone_ends_in_eval_error():
     assert report.residual_norm == pytest.approx(0.01513, rel=1e-3)
 
 
+def _with_free_frames(frames, fn):
+    """fn(), called where about ``frames`` frames are left below Python's recursion limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def descend(k):
+        return fn() if k <= 0 else descend(k - 1)
+
+    return descend(sys.getrecursionlimit() - depth - frames)
+
+
 def test_newton_tree_that_cannot_be_compiled_is_eval_error():
-    # A spec built by hand may hold a tree that the compiler rejects: an f
-    # nested past Python's recursion limit, or an f_x with a variable
-    # exponent.  f and f_x compile as one program, before the start.
-    deep = parse("+".join(["x"] * 3000))
+    # f_x is derived from f when the spec is built, so no spec holds an f_x
+    # with a variable exponent, which the compiler rejects
     malformed = expr.BinOp("^", expr.Var("x"), expr.Var("x"))
-    for f, fx in ((deep, expr.Num(1.0)), (parse("x/4"), malformed)):
-        report = newton_solve(ProblemSpec(f, fx, expr.Num(1.0), 1.0, 1.0, 0.0), 8)
-        assert (report.status, report.iterations) == (EVAL_ERROR, 0)
-        assert math.isnan(report.residual_norm)
+    with pytest.raises(expr.NonDifferentiableError, match="non-constant exponent"):
+        ProblemSpec(malformed, expr.Num(1.0), 1.0, 1.0, 0.0)
+    # An f nested 600 deep builds, but a solve with 300 frames left cannot
+    # compile it.  f and f_x compile as one program, before the start.
+    spec = ProblemSpec(parse("+".join(["x"] * 600)), expr.Num(1.0), 1.0, 1.0, 0.0)
+    report = _with_free_frames(300, lambda: newton_solve(spec, 8))
+    assert (report.status, report.iterations) == (EVAL_ERROR, 0)
+    assert math.isnan(report.residual_norm)
+    assert newton_solve(spec, 8).status == CONVERGED
+
+
+def test_newton_on_a_replaced_f_uses_its_own_jacobian():
+    # on f1's f_x Newton takes 7 steps at N = 32 on this f, and on its own 2
+    f = "x*x*x/10 + sin(x)"
+    got = newton_solve(replace(corpus.build("f1"), f=parse(f)), 32)
+    want = newton_solve(make_spec(f, "1", A=0.1, B=0.5, fx_lower=-0.25), 32)
+    assert (got.status, got.iterations) == (want.status, want.iterations) == (CONVERGED, 2)
+    assert got.solution.values.tobytes() == want.solution.values.tobytes()
 
 
 def test_newton_residual_that_overflows_is_eval_error():
