@@ -364,11 +364,16 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError as exc:
         # The reader closed stdout early, as `| head` does.  What is left in
-        # the buffer goes to os.devnull, so the exit flush cannot fail again.
+        # the buffer goes to os.devnull, so the exit flush cannot fail again,
+        # and so does stderr where it is the same closed pipe (`2>&1 | head`).
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        try:
+            sys.stderr.write(f"error: cannot write standard output: {exc}\n")
+            sys.stderr.flush()
+        except OSError:
+            os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
-        sys.stderr.write(f"error: cannot write standard output: {exc}\n")
         return 2
 
 

@@ -13,13 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import _sub, diff, evaluate, substitute
+from .expr import evaluate
 from .grid import grid_size
 from .problem import ProblemSpec, as_expr, make_spec
 from .solver import CONVERGED, SolverConfig, newton_solve
 
-# Not called here; kept because the benchmark's tracer patches the name on this module.
-from .expr import parse  # noqa: F401
+# Not called here; kept because the benchmark's tracer patches these names on this module.
+from .expr import diff, parse  # noqa: F401
 
 __all__ = [
     "ConvergenceRow",
@@ -65,18 +65,14 @@ def manufacture(f, x_star, *, A: float, B: float, fx_lower: float) -> ProblemSpe
     """Build a problem whose continuous solution is x_star by construction.
 
     x_star must be an expression in t alone, vanish at t = 0 and t = 1
-    (within 1e-12), and be twice differentiable; the forcing becomes
-    v = x_star'' - f(t, x_star(t)), composed symbolically by diff's rule for
-    a difference, so a zero x_star'' gives v = -f(t, x_star(t)).  x_star is
-    differentiated twice in t here, and f once in x when the spec derives
-    its f_x, so ``abs`` in either raises ``NonDifferentiableError``.  The
-    spec returned by ``make_spec`` carries x_star and checks it with the
-    rest of its fields.
+    (within 1e-12), and be twice differentiable.  The spec derives the
+    forcing v = x_star'' - f(t, x_star(t)), composed symbolically by diff's
+    rule for a difference, so a zero x_star'' gives v = -f(t, x_star(t)).
+    x_star is differentiated twice in t, and f once in x when the spec
+    derives its f_x, so ``abs`` in either raises ``NonDifferentiableError``.
+    Only x_star is parsed here, so that None is a ``TypeError`` naming it.
     """
-    f, x_star = as_expr(f, "f"), as_expr(x_star, "x_star")
-    x_star_dd = diff(diff(x_star, "t"), "t")
-    v = _sub(x_star_dd, substitute(f, "x", x_star))
-    return make_spec(f, v, A=A, B=B, fx_lower=fx_lower, x_star=x_star)
+    return make_spec(f, None, A=A, B=B, fx_lower=fx_lower, x_star=as_expr(x_star, "x_star"))
 
 
 def _solve_or_abort(spec, n, cfg, rows, problem_id, reference):

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalError, Expr, _blocks, _Program, diff, evaluate, parse, uses_var
+from .expr import (
+    EvalError, Expr, _blocks, _Program, _sub, diff, evaluate, format_expr, parse, substitute,
+    uses_var,
+)
 from .grid import is_integer
 
 __all__ = [
@@ -47,12 +50,19 @@ _BOUNDARY_TOL = 1e-12
 class ProblemSpec:
     """Right-hand side f, forcing v, declared constants, and x*; f_x is derived from f.
 
-    Every spec checks its own fields when it is built, by the constructor,
-    ``make_spec``, ``manufacture`` or ``dataclasses.replace``: x_star, when
-    set, is an expression in t that vanishes at t = 0 and t = 1 (within
-    1e-12); A, B and fx_lower are finite numbers, not booleans, stored as
-    floats, with A and B positive; v is an expression in t; and f is
-    differentiable in x.  The first failing check raises, in that order.
+    Every spec makes and checks its own fields when it is built, by the
+    constructor, ``make_spec``, ``manufacture`` or ``dataclasses.replace``.
+    f, v and x_star are source text, which is parsed, or trees; anything
+    else is a ``TypeError`` naming the field, and v may be None only with
+    x_star.  With x_star set, the manufactured forcing x_star'' - f(t,
+    x_star) is derived first, so ``abs`` in x_star raises
+    ``NonDifferentiableError``; x_star is an expression in t that vanishes
+    at t = 0 and t = 1 (within 1e-12); and a None v becomes that forcing,
+    while a given v must be the same tree, else ``ValueError``.  Then A, B
+    and fx_lower are finite numbers, not booleans, stored as floats, with
+    A and B positive; v is an expression in t; and f is differentiable in
+    x.  The first failing check raises, in that order.  To change f or
+    x_star of a manufactured spec with ``replace``, pass ``v=None`` too.
     """
 
     f: Expr
@@ -63,15 +73,25 @@ class ProblemSpec:
     x_star: Expr | None = None  # the exact solution; None when it is not known
 
     def __post_init__(self):
-        if self.x_star is not None:
-            if uses_var(self.x_star, "x"):
+        f = as_expr(self.f, "f")
+        v = None if self.v is None and self.x_star is not None else as_expr(self.v, "v")
+        x_star = None if self.x_star is None else as_expr(self.x_star, "x_star")
+        if x_star is not None:
+            # derived first, so an abs in x_star is named before any other fault of x_star
+            derived = _sub(diff(diff(x_star, "t"), "t"), substitute(f, "x", x_star))
+            if uses_var(x_star, "x"):
                 raise ValueError("x_star must be an expression in t only")
             for endpoint in (0.0, 1.0):
-                value = evaluate(self.x_star, endpoint, 0.0)
+                value = evaluate(x_star, endpoint, 0.0)
                 if abs(value) > _BOUNDARY_TOL:
                     raise ValueError(
                         f"x_star({endpoint}) = {value} violates the zero boundary condition"
                     )
+            # format_expr, not ==, which recurses deeper per level than diff
+            if v is None:
+                v = derived
+            elif format_expr(v) != format_expr(derived):
+                raise ValueError("v must be x_star'' - f(t, x_star); give v=None to derive it")
         A, B, fx_lower = self.declared_A, self.declared_B, self.declared_fx_lower
         if any(isinstance(c, (bool, np.bool_)) for c in (A, B, fx_lower)):
             raise ValueError("declared constants A, B and fx_lower must be numbers, not booleans")
@@ -79,10 +99,12 @@ class ProblemSpec:
             raise ValueError("declared constants A, B and fx_lower must be finite")
         if A <= 0.0 or B <= 0.0:
             raise ValueError("growth constants A and B must be positive")
-        if uses_var(self.v, "x"):
+        if uses_var(v, "x"):
             raise ValueError("the forcing term v must depend on t only")
-        for name, c in (("declared_A", A), ("declared_B", B), ("declared_fx_lower", fx_lower)):
-            object.__setattr__(self, name, float(c))
+        fields = (("f", f), ("v", v), ("declared_A", float(A)), ("declared_B", float(B)),
+                  ("declared_fx_lower", float(fx_lower)), ("x_star", x_star))
+        for name, value in fields:
+            object.__setattr__(self, name, value)
         self.fx  # a non-differentiable f fails here, not at its first solve
 
     @functools.cached_property
@@ -176,10 +198,9 @@ def make_spec(f, v, *, A: float, B: float, fx_lower: float, x_star=None) -> Prob
     f_x is always the symbolic derivative of f, and there is no way to
     supply one.  ``abs`` is therefore usable in v only; in f it raises
     ``NonDifferentiableError``.  x_star, the exact solution, is None
-    unless given.
+    unless given; with it, v=None derives v = x_star'' - f(t, x_star),
+    and a given v must be that tree.
     """
-    f, v = as_expr(f, "f"), as_expr(v, "v")
-    x_star = None if x_star is None else as_expr(x_star, "x_star")
     return ProblemSpec(f, v, A, B, fx_lower, x_star)
 
 

@@ -54,11 +54,11 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
 
 
-def _dirbvp(argv, env=os.environ):
+def _dirbvp(argv, env=os.environ, stderr=subprocess.PIPE):
     """Start ``dirbvp argv`` in a new process with the environment ``env``."""
     env = {**env, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.Popen([sys.executable, "-m", "dirbvp.cli", *argv], cwd=ROOT, env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            stdout=subprocess.PIPE, stderr=stderr)
 
 
 def write(tmp_path, text, name="problem.txt"):
@@ -553,7 +553,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, where):
     assert capsys.readouterr().err.startswith(f"error: cannot write {output}: ")
 
 
-@pytest.mark.parametrize(
+_CLOSED_PIPE_RUNS = pytest.mark.parametrize(
     "argv, lines",
     [
         # the whole output fits in a pipe, so the reader leaves before the first line
@@ -562,16 +562,32 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, where):
         (["solve", "--config", "configs/f1.txt", "--n", "100000"], 1),
     ],
 )
+
+
+def _read_and_close(child, lines):
+    for _ in range(lines):
+        assert child.stdout.readline()
+    child.stdout.close()
+
+
+@_CLOSED_PIPE_RUNS
 def test_closed_stdout_pipe_exits_2(argv, lines):
     # as `dirbvp ... | head -n 1`; exit 1 would read as a violated condition
     with _dirbvp(argv) as child:
-        for _ in range(lines):
-            assert child.stdout.readline()
-        child.stdout.close()
+        _read_and_close(child, lines)
         err = child.stderr.read().decode()
     assert child.returncode == 2
     assert err.startswith("error: cannot write standard output: ")
     assert "Traceback" not in err
+
+
+@_CLOSED_PIPE_RUNS
+def test_closed_merged_output_pipe_exits_2(argv, lines):
+    # as `dirbvp ... 2>&1 | head -n 1`: the error line meets the same closed pipe,
+    # and that second failure must not escape as exit 1
+    with _dirbvp(argv, stderr=subprocess.STDOUT) as child:
+        _read_and_close(child, lines)
+    assert child.returncode == 2
 
 
 _MALFORMED = {

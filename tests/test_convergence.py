@@ -12,7 +12,7 @@ from dirbvp.convergence import (
     manufacture,
     run_study,
 )
-from dirbvp.expr import NonDifferentiableError, evaluate, parse
+from dirbvp.expr import NonDifferentiableError, evaluate, format_expr, parse
 from dirbvp.grid import GridFunction
 from dirbvp.problem import ProblemSpec, make_spec
 from dirbvp.solver import multi_start_uniqueness, newton_solve
@@ -110,6 +110,30 @@ def test_replaced_x_star_is_checked(x_star, message):
         replace(corpus.build("f1_sin"), x_star=parse(x_star))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         manufacture(F1, x_star, A=0.1, B=0.5, fx_lower=-0.25)
+
+
+@pytest.mark.parametrize(
+    "change, f, x_star",
+    [({"f": parse("x/4")}, "x/4", "sin(pi*t)"), ({"x_star": parse("t^2 - t")}, F1, "t^2 - t")],
+    ids=["f", "x_star"],
+)
+def test_replaced_f_or_x_star_of_a_manufactured_spec_derives_v_again(change, f, x_star):
+    # replace kept the v of the old f and x_star, and the study measured against an
+    # x* that does not solve it: sup errors 1.5e-2 .. 4.7e-3 for f = x/4, and 1.25 on
+    # every row for x* = t^2 - t, with no error raised
+    spec = corpus.build("f1_sin")
+    message = "v must be x_star'' - f(t, x_star); give v=None to derive it"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(spec, **change)
+    replaced = replace(spec, **change, v=None)
+    made = manufacture(f, x_star, A=0.1, B=0.5, fx_lower=-0.25)
+    assert format_expr(replaced.v) == format_expr(made.v)
+    ns = [8, 16, 32, 64]
+    tables = [run_study(s, ns) for s in (replaced, made)]
+    bits = [[(row.n, row.sup_error.hex(), row.empirical_order, row.derivative_bound.hex())
+             for row in table.rows] for table in tables]
+    assert bits[0] == bits[1]
+    assert tables[0].reference == "manufactured" and tables[0].rows[-1].sup_error < 1e-3
 
 
 def test_derivative_bound_quadratic_closed_form():

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tracemalloc
@@ -21,8 +22,10 @@ from dirbvp.expr import (
     NonDifferentiableError,
     Num,
     Var,
+    NestingError,
     diff,
     evaluate,
+    format_expr,
     parse,
 )
 from dirbvp.problem import (
@@ -36,6 +39,7 @@ from dirbvp.problem import (
     classify,
     make_spec,
 )
+from dirbvp.solver import CONVERGED, newton_solve
 
 F1 = "(t + sin(x))/(2*x^2 + 4)"
 F2 = "x*exp(t - pi) - atan(x) + exp(t)"
@@ -605,11 +609,13 @@ def test_spec_fields_and_positional_order():
     # f_x is no field: it is derived from f, and the constants are stored as floats
     assert [field.name for field in fields(ProblemSpec)] == [
         "f", "v", "declared_A", "declared_B", "declared_fx_lower", "x_star"]
-    spec = ProblemSpec(parse("x/4"), parse("1"), 1, np.float64(0.5), -1, parse("t*(t - 1)"))
+    # with x_star, a None v is derived as x_star'' - f(t, x_star)
+    spec = ProblemSpec(parse("x/4"), None, 1, np.float64(0.5), -1, parse("t*(t - 1)"))
     constants = (spec.declared_A, spec.declared_B, spec.declared_fx_lower)
     assert constants == (1.0, 0.5, -1.0) and all(type(c) is float for c in constants)
     assert spec.fx == diff(parse("x/4"), "x")
     assert spec.x_star == parse("t*(t - 1)")
+    assert spec.v == parse("(1 + 1) - t*(t - 1)/4")
 
 
 def test_replaced_f_takes_its_own_fx():
@@ -626,6 +632,82 @@ def test_replaced_f_takes_its_own_fx():
         replace(corpus.build("f1"), f=parse("abs(x)"))
 
 
+def _solve_bits(spec, n=32):
+    report = newton_solve(spec, n)
+    return (report.status, report.iterations, report.residual_norm.hex(), report.step_trace,
+            report.solution.values.tobytes())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: ProblemSpec("x/4", "1", 0.1, 0.5, -0.25), lambda: replace(corpus.build("f1"), f="x/4")],
+    ids=["constructor", "replace"],
+)
+def test_source_text_fields_build_as_make_spec_does(build):
+    # the text was kept as it was, and f_x of the string 'x/4' did not derive
+    spec, built = build(), make_spec("x/4", "1", A=0.1, B=0.5, fx_lower=-0.25)
+    assert spec == built
+    bits = _solve_bits(spec)
+    assert bits[0] == CONVERGED and bits == _solve_bits(built)
+
+
+@pytest.mark.parametrize(
+    "name, change, error, message",
+    [
+        # a float v built, and newton_solve then raised AttributeError on it
+        ("f1", {"v": 3.0}, TypeError, "v must be an expression string or tree, got 3.0"),
+        # a text x_star raised AttributeError inside the constructor
+        ("f1_sin", {"x_star": "t"}, ValueError,
+         "x_star(1.0) = 1.0 violates the zero boundary condition"),
+    ],
+    ids=["float v", "text x_star"],
+)
+def test_replace_parses_and_checks_expression_fields(name, change, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        replace(corpus.build(name), **change)
+
+
+def test_manufactured_v_is_derived_and_kept_by_replace():
+    spec = corpus.build("f1_sin")
+    derived = ProblemSpec(spec.f, None, 0.1, 0.5, -0.25, spec.x_star)
+    assert format_expr(derived.v) == format_expr(spec.v)
+    replaced = replace(spec, declared_A=0.2)
+    assert replaced.v is spec.v and replaced.declared_A == 0.2
+    # a v given with x_star must be the derived one, and a None v needs x_star
+    with pytest.raises(ValueError, match="^v must be x_star'' - f"):
+        ProblemSpec(spec.f, "1", 0.1, 0.5, -0.25, spec.x_star)
+    with pytest.raises(TypeError, match="^v must be an expression string or tree, got None$"):
+        ProblemSpec(spec.f, None, 0.1, 0.5, -0.25)
+
+
+def test_deepest_manufactured_spec_can_be_replaced():
+    # x_star is a left-deep sum of k copies of t(t - 1); the spec compares a given
+    # v by its text, as tree == recursed too deep to compare v at this depth
+    q = parse("t*(t - 1)")
+
+    def manufactured(k):
+        x_star = functools.reduce(lambda e, _: BinOp("+", e, q), range(k - 1), q)
+        return manufacture("x/4", x_star, A=0.5, B=1, fx_lower=-0.5)
+
+    def builds(k):
+        try:
+            manufactured(k)
+        except NestingError:
+            return False
+        return True
+
+    # double k until it fails to build, then halve the gap to the deepest that builds
+    lo, hi = 1, 2
+    while builds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if builds(mid) else (lo, mid)
+    spec = manufactured(lo)
+    assert replace(spec, declared_A=0.25).v is spec.v
+    assert format_expr(replace(spec, v=None).v) == format_expr(spec.v)
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -635,6 +717,8 @@ def test_replaced_f_takes_its_own_fx():
         ({"declared_A": -0.5}, "growth constants A and B must be positive"),
         ({"declared_B": True},
          "declared constants A, B and fx_lower must be numbers, not booleans"),
+        # text, which the check that v is in t only once skipped
+        ({"v": "x"}, "the forcing term v must depend on t only"),
     ],
 )
 def test_replace_checks_the_spec_it_builds(change, message):
