@@ -31,7 +31,7 @@ __all__ = [
 
 _PIVOT_REL_TOL = 1e-12
 # Thomas elimination up to this order, cyclic reduction above it (the two
-# cross near order 640 on a 2-core x86-64 with numpy 2.4; small solves stay
+# cross near order 950 on a 2-core x86-64 with numpy 2.4; small solves stay
 # bitwise those of Thomas)
 _THOMAS_MAX_ORDER = 2048
 
@@ -131,7 +131,8 @@ def solve_tridiagonal(matrix: Tridiagonal, rhs) -> np.ndarray:
     Orders up to 2048 run Thomas elimination, a loop on Python floats,
     which do the same IEEE operations as numpy scalars at a fraction of
     the cost.  A pivot at or below 1e-12 times its row scale, max(|d|, 1)
-    (|d| at order 1), is reported as singular.
+    (|d| at order 1), is reported as singular.  The rule is applied after
+    the sweep, to all pivots at once, and names the first row that fails.
 
     Larger orders run odd-even cyclic reduction on numpy arrays, which
     does the same elimination in another order, so its results differ
@@ -152,20 +153,26 @@ def solve_tridiagonal(matrix: Tridiagonal, rhs) -> np.ndarray:
     if m > _THOMAS_MAX_ORDER:
         return _cyclic_reduction(matrix.diag, rhs)
     d = matrix.diag
-    floor = 1.0 if m > 1 else 0.0
-    limit = (_PIVOT_REL_TOL * np.maximum(np.abs(d), floor)).tolist()
-
     w = d.tolist()
     g = rhs.tolist()
-    for i in range(1, m):
-        pivot = w[i - 1]
-        if abs(pivot) <= limit[i - 1]:
-            raise SingularJacobianError(f"vanishing pivot at row {i - 1}")
-        factor = 1.0 / pivot
-        w[i] -= factor
-        g[i] -= factor * g[i - 1]
-    if abs(w[-1]) <= limit[-1]:
-        raise SingularJacobianError(f"vanishing pivot at row {m - 1}")
+    # The sweep keeps the running pivot and right-hand side in locals and
+    # tests no row.  A tiny pivot gives a huge or infinite factor, which
+    # Python floats carry on with; an exact zero stops it, and no row after
+    # it is read.
+    pivot, r = w[0], g[0]
+    try:
+        for i in range(1, m):
+            factor = 1.0 / pivot
+            w[i] = pivot = w[i] - factor
+            g[i] = r = g[i] - factor * r
+    except ZeroDivisionError:
+        pass
+    # The rule on all pivots at once: each pivot up to the first that fails
+    # is the one a test inside the loop would see, so the same row is named.
+    scale = np.maximum(np.abs(d), 1.0 if m > 1 else 0.0)
+    ok = np.abs(np.fromiter(w, float, m)) > _PIVOT_REL_TOL * scale
+    if np.count_nonzero(ok) < m:
+        raise SingularJacobianError(f"vanishing pivot at row {ok.argmin()}")
 
     # back substitution overwrites g with the solution; the pivots are finite
     # and nonzero, so a non-finite entry makes every entry before it
@@ -175,7 +182,7 @@ def solve_tridiagonal(matrix: Tridiagonal, rhs) -> np.ndarray:
         g[i] = (g[i] - g[i + 1]) / w[i]
     if not math.isfinite(g[0]):
         raise SingularJacobianError("non-finite solution at row 0")
-    return np.array(g)
+    return np.fromiter(g, float, m)
 
 
 def _cyclic_reduction(d: np.ndarray, b: np.ndarray) -> np.ndarray:

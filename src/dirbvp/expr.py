@@ -290,7 +290,10 @@ def _run(steps, env):
 
     A step (function, i, j, k) sets env[k] to function(env[i]), or to
     function(env[i], env[j]) when j is not None.  Every operand is numpy:
-    Python-float arithmetic sets no flags.
+    Python-float arithmetic sets no flags.  A domain fault (division by
+    zero, the sqrt of a negative, a zero base with a negative exponent) is
+    named as an EvalError only under _TRAPS, whose flags it trips; under
+    other traps it may give inf or NaN.
     """
     for function, i, j, k in steps:
         env[k] = function(env[i]) if j is None else function(env[i], env[j])
@@ -305,25 +308,43 @@ def _execute(steps, env):
         raise EvalError(f"non-finite result: {exc}") from exc
 
 
+# The domain checks run only when the operation trips a trap.  Under _TRAPS
+# x/0 trips divide, 0/0 and the sqrt of a negative trip invalid, and 1/0
+# trips divide, so an operation that reaches a zero or negative operand
+# always raises; any other trapped flag is raised again as it is.  The
+# EvalError is raised after the handler, so the trapped error and its
+# frames are not kept as its context.
+
+
 def _divide(numerator, denominator):
-    if np.count_nonzero(denominator == 0.0):
-        raise EvalError("division by zero")
-    return numerator / denominator
+    try:
+        return numerator / denominator
+    except FloatingPointError:
+        if not np.count_nonzero(denominator == 0.0):
+            raise
+    raise EvalError("division by zero")
 
 
 def _sqrt(value):
-    if np.count_nonzero(value < 0.0):
-        raise EvalError("sqrt of a negative value")
-    return np.sqrt(value)
+    try:
+        return np.sqrt(value)
+    except FloatingPointError:
+        if not np.count_nonzero(value < 0.0):
+            raise
+    raise EvalError("sqrt of a negative value")
 
 
 def _reciprocal(value):
-    if np.count_nonzero(value == 0.0):
-        raise EvalError("zero base with a negative exponent")
-    return 1.0 / value
+    try:
+        return 1.0 / value
+    except FloatingPointError:
+        if not np.count_nonzero(value == 0.0):
+            raise
+    raise EvalError("zero base with a negative exponent")
 
 
 def _real_power(value, c):
+    # checked first: np.power(0.0, 0.5) trips nothing
     if np.count_nonzero(value <= 0.0):
         raise EvalError("non-integer power of a non-positive base")
     return np.power(value, c)
@@ -528,7 +549,7 @@ def _root(program, env, k):
     result, _, end = program.roots[k]
     _run(program.steps[program.roots[k - 1][2] if k else 0 : end], env)
     t, x, result = env[0], env[1], env[result]
-    shape = np.broadcast(t, x).shape
+    shape = x.shape if t.shape == x.shape else np.broadcast(t, x).shape
     if shape == ():
         return float(result)
     # A fresh full-shape array is the caller's alone; an input, a scalar or

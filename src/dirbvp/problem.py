@@ -46,7 +46,7 @@ _V_FAILS = "v cannot be evaluated at t={t}"
 _BOUNDARY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Right-hand side f, forcing v, declared constants, and x*; f_x is derived from f.
 
@@ -63,6 +63,10 @@ class ProblemSpec:
     A and B positive; v is an expression in t; and f is differentiable in
     x.  The first failing check raises, in that order.  To change f or
     x_star of a manufactured spec with ``replace``, pass ``v=None`` too.
+
+    Two specs are equal, and hash equal, when their fields are: f, v and
+    x_star compare by their ``format_expr`` text, and the constants as
+    floats.
     """
 
     f: Expr
@@ -106,6 +110,21 @@ class ProblemSpec:
         for name, value in fields:
             object.__setattr__(self, name, value)
         self.fx  # a non-differentiable f fails here, not at its first solve
+
+    def _key(self) -> tuple:
+        # format_expr walks one frame per tree level, as building the spec
+        # did; the trees' own == and hash take several and can overflow
+        x_star = None if self.x_star is None else format_expr(self.x_star)
+        return (format_expr(self.f), format_expr(self.v), self.declared_A, self.declared_B,
+                self.declared_fx_lower, x_star)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @functools.cached_property
     def fx(self) -> Expr:

@@ -159,7 +159,7 @@ def test_solve_tridiagonal_matches_general_band_reference():
     # diagonals of both signs over six decades, with zero and 1e-13 entries
     # mixed in, so that each order sees solves and singular pivots
     rng = np.random.default_rng(2024)
-    for m in (1, 2, 3, 17, 1000):
+    for m in (1, 2, 3, 17, 1000, 2048):
         outcomes = set()
         for _ in range(40):
             diag = rng.normal(scale=3.0, size=m) * rng.choice([1e-3, 1.0, 1e3], size=m)
@@ -265,6 +265,24 @@ def pivot_small_against_one_coupling(m, side):
 def test_solve_tridiagonal_names_the_vanishing_pivot(m, diag, row):
     with pytest.raises(SingularJacobianError, match=f"^vanishing pivot at row {row}$"):
         solve_tridiagonal(Tridiagonal(diag=diag), np.ones(m))
+
+
+def test_elimination_names_the_first_vanishing_pivot():
+    # the rule runs on all pivots after the sweep, and must name the row a
+    # test inside the loop named: an exact zero stops the sweep, a tiny
+    # pivot does not, and a later row may fail too
+    tiny = 1.0 + 1e-13
+    again = 1.0 / (tiny - 1.0)  # makes the pivot after the tiny one exactly zero
+    cases = [
+        [1.0, 1.0, 5.0],  # a zero pivot in the middle of the sweep
+        [1.0, tiny, 5.0],  # a tiny nonzero pivot there
+        [1.0, 1.0, 0.0, 5.0],  # a zero pivot, then a zero entry the sweep never reaches
+        [1.0, tiny, 5.0, 0.0],  # a tiny pivot, then another
+        [1.0, tiny, again, 5.0],  # a tiny pivot, then a zero one
+    ]
+    for diag in cases:
+        with pytest.raises(SingularJacobianError, match="^vanishing pivot at row 1$"):
+            solve_tridiagonal(Tridiagonal(diag=diag), np.ones(len(diag)))
 
 
 def test_cyclic_reduction_overflow_is_singular():

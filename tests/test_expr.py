@@ -32,7 +32,8 @@ from dirbvp.expr import (
     parse,
     substitute,
 )
-from dirbvp.problem import make_spec
+from dirbvp.problem import check_growth, make_spec
+from dirbvp.solver import EVAL_ERROR, newton_solve
 
 F1 = "(t + sin(x))/(2*x^2 + 4)"
 F2 = "x*exp(t - pi) - atan(x) + exp(t)"
@@ -124,6 +125,46 @@ def test_eval_domain_errors():
         evaluate(parse("x^0.5"), 0.0, -2.0)
     with pytest.raises(EvalError):
         evaluate(parse("exp(x)"), 0.0, 1000.0)  # overflow must not return inf
+
+
+@pytest.mark.parametrize(
+    "f, t, x, message",
+    [
+        ("x/(t - 0.5)", 0.5, -2.0, "division by zero"),
+        ("0/(x - x)", 0.0, -2.0, "division by zero"),
+        ("sqrt(x - 3)", 0.0, -2.0, "sqrt of a negative value"),
+        ("x^-2", 0.0, 0.0, "zero base with a negative exponent"),
+    ],
+)
+def test_domain_faults_are_named_through_evaluate_newton_and_check(f, t, x, message):
+    # each operand is checked only once its operation trips one of evaluate's
+    # traps; (t, x) is the first point of check's row-major box on [-2, 2]
+    # where f fails, and the zero start fails too
+    tree = parse(f)
+    for point in ((t, x), (np.array([t, t]), np.array([x, x]))):
+        with pytest.raises(EvalError) as info:
+            evaluate(tree, *point)
+        assert str(info.value) == message
+        # raised after the trap's handler, so nothing of the trapped error is kept
+        assert info.value.__context__ is None and info.value.__cause__ is None
+    spec = make_spec(f, "1", A=0.5, B=1.0, fx_lower=-0.5)
+    report = newton_solve(spec, 16)
+    assert (report.status, report.iterations) == (EVAL_ERROR, 0)
+    assert math.isnan(report.residual_norm)
+    with pytest.raises(EvalError) as info:
+        check_growth(spec, x_range=2.0)
+    assert str(info.value) == f"evaluation failed at sample point (t={t}, x={x}): {message}"
+
+
+def test_overflow_in_a_divide_is_not_a_division_by_zero():
+    # the divide traps, but on no zero denominator: the trapped flag is named
+    tree = parse("1e300/(x*1e-300)")
+    with pytest.raises(EvalError, match=r"^non-finite result: overflow encountered in divide$"):
+        evaluate(tree, 0.0, np.array([1.0]))
+    with pytest.raises(EvalError, match=r"^non-finite result: overflow encountered in scalar divide$"):
+        evaluate(tree, 0.0, 1.0)
+    with pytest.raises(EvalError, match=r"^non-finite result: overflow encountered in divide$"):
+        evaluate(parse("x^-1"), 0.0, np.array([1e-310]))
 
 
 def test_eval_integer_power_of_negative_base():

@@ -680,9 +680,9 @@ def test_manufactured_v_is_derived_and_kept_by_replace():
         ProblemSpec(spec.f, None, 0.1, 0.5, -0.25)
 
 
-def test_deepest_manufactured_spec_can_be_replaced():
-    # x_star is a left-deep sum of k copies of t(t - 1); the spec compares a given
-    # v by its text, as tree == recursed too deep to compare v at this depth
+@functools.cache
+def deepest_manufactured_spec():
+    """The deepest spec that builds whose x_star is a left-deep sum of k copies of t(t - 1)."""
     q = parse("t*(t - 1)")
 
     def manufactured(k):
@@ -703,9 +703,45 @@ def test_deepest_manufactured_spec_can_be_replaced():
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if builds(mid) else (lo, mid)
-    spec = manufactured(lo)
+    return manufactured(lo)
+
+
+def test_deepest_manufactured_spec_can_be_replaced():
+    # the spec compares a given v by its text, as tree == recursed too deep to
+    # compare v at this depth
+    spec = deepest_manufactured_spec()
     assert replace(spec, declared_A=0.25).v is spec.v
     assert format_expr(replace(spec, v=None).v) == format_expr(spec.v)
+
+
+def test_deepest_manufactured_spec_equals_and_hashes_as_its_copy():
+    # == and hash of the trees recurse several frames per level and overflowed
+    # Python's stack on this spec; the spec compares and hashes their text
+    spec = deepest_manufactured_spec()
+    copy = replace(spec, v=None)
+    assert copy.v is not spec.v
+    assert spec == copy and not spec != copy
+    assert hash(spec) == hash(copy)
+
+
+def test_specs_that_differ_in_one_field_are_unequal():
+    # each change derives v again, so the two specs share no v tree to
+    # compare by identity
+    spec = deepest_manufactured_spec()
+    changes = [
+        {"f": "x/5"},
+        {"x_star": BinOp("*", Num(2.0), spec.x_star)},
+        {"declared_A": 0.25},
+        {"declared_B": 2.0},
+        {"declared_fx_lower": -0.25},
+    ]
+    for change in changes:
+        other = replace(spec, v=None, **change)
+        assert spec != other and not spec == other, change
+    # v alone differs where no x_star fixes it
+    f1 = corpus.build("f1")
+    assert f1 == corpus.build("f1") and f1 != replace(f1, v="2")
+    assert f1 != "f1" and f1 != format_expr(f1.f)
 
 
 @pytest.mark.parametrize(
