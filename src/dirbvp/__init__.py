@@ -57,6 +57,7 @@ from .problem import (
     check_growth,
     classify,
     make_spec,
+    sample_range,
 )
 from .solver import (
     SolveReport,

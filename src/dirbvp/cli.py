@@ -26,14 +26,7 @@ from .convergence import ConvergenceTable, StudyError, run_study
 from .corpus import ConfigError, ProblemConfig, build_problem
 from .expr import EvalError, ParseError
 from .grid import grid_size, norms, random_element
-from .problem import (
-    ProblemSpec,
-    _evaluate_v,
-    apriori_bound,
-    check_fx_lower,
-    check_growth,
-    classify,
-)
+from .problem import ProblemSpec, check_fx_lower, check_growth, classify, sample_range
 from .solver import CONVERGED, EVAL_ERROR, SolverConfig, newton_solve
 
 # Not called here; kept because the benchmark's tracer patches these names on this module.
@@ -170,17 +163,8 @@ def _report_failing_v(spec: ProblemSpec, n: int) -> None:
         sys.stderr.write(f"error: {exc}\n")
 
 
-def _sample_range(spec: ProblemSpec) -> float:
-    """The half-width in x of the box that ``check`` samples."""
-    v_sup = float(np.max(np.abs(_evaluate_v(spec.v, np.linspace(0.0, 1.0, 1001)))))
-    # Solutions live in [-M, M]; sample twice that box when M exists.
-    if spec.declared_A < 1.0:
-        return 2.0 * apriori_bound(spec, v_sup)
-    return 10.0
-
-
 def _run_check(config: ProblemConfig, spec: ProblemSpec, output) -> int:
-    x_range = _sample_range(spec)
+    x_range = sample_range(spec)
     growth = check_growth(spec, x_range)
     fx_low = check_fx_lower(spec, x_range)
     flags = classify(spec)

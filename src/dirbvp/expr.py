@@ -26,7 +26,6 @@ their common operations and run one after another at a point.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -395,6 +394,7 @@ class _Program:
         values = [None, None]
         reads = [1, 2]  # by number: what the value reads
         numbers = {}  # a constant's bits, or an operation -> its number
+        operations = []  # the operations' numbers, in the order they are made
         walked = {}  # id(node) -> number, so that a shared node is walked once
 
         def number(value, read=0):
@@ -405,6 +405,8 @@ class _Program:
                 n = numbers[key] = len(values)
                 values.append(value)
                 reads.append(read)
+                if type(value) is tuple:
+                    operations.append(n)
             return n
 
         def operation(function, a, b=None):
@@ -459,9 +461,9 @@ class _Program:
             walked[id(node)] = n
             return n
 
-        # each root's number, and how many values are numbered once it is walked
+        # each root's number, and how many operations are numbered once it is walked
         try:
-            walks = [(_walk(walk, root), len(values)) for root in roots]
+            walks = [(_walk(walk, root), len(operations)) for root in roots]
         finally:
             # walk calls itself through its closure cell, a cycle that would
             # keep it and every table above alive until the collector runs
@@ -497,13 +499,8 @@ class _Program:
         steps.reverse()
         self.template = template
         self.steps = steps
-        self.reads = [reads[n] for n in range(2, len(values)) if type(values[n]) is tuple]
-        # the steps of the operations numbered before each root's end
-        operations = [n for n in range(2, len(values)) if type(values[n]) is tuple]
-        self.roots = [
-            (result, reads[n], bisect.bisect_left(operations, made))
-            for result, (n, made) in zip(results, walks)
-        ]
+        self.reads = [reads[n] for n in operations]
+        self.roots = [(result, reads[n], made) for result, (n, made) in zip(results, walks)]
 
 
 def evaluate(expr: Expr, t=0.0, x=0.0):

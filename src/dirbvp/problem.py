@@ -20,7 +20,6 @@ from .expr import (
     EvalError, Expr, _blocks, _Program, _sub, diff, evaluate, format_expr, parse, substitute,
     uses_var,
 )
-from .grid import is_integer
 
 __all__ = [
     "ProblemSpec",
@@ -30,11 +29,15 @@ __all__ = [
     "as_expr",
     "check_growth",
     "check_fx_lower",
+    "sample_range",
     "classify",
     "apriori_bound",
 ]
 
 _WITNESS_CAP = 10
+# the rows in t and columns in x of the box that check_growth and check_fx_lower sample
+_SAMPLES_T = 201
+_SAMPLES_X = 2001
 # 8 x 2001 doubles is 125 KiB, under glibc's default 128 KiB mmap threshold, so
 # a block's temporaries come from the heap and reuse its pages, block after block
 _BLOCK_ROWS = 8
@@ -175,25 +178,27 @@ class ConditionReport:
     """Outcome of sampling one condition over a (t, x) box.
 
     Witnesses are (t, x, lhs, rhs) tuples for up to the first few
-    violations; ``violation_count`` is the total number found.
+    violations; ``violation_count`` is the total number found, and the
+    verdict follows from it.  A report with violations carries a witness.
     """
 
     condition: str
-    verdict: str  # "no-violation-found" | "violated"
     witnesses: tuple[tuple[float, float, float, float], ...]
     violation_count: int
     samples_t: int
     samples_x: int
 
     def __post_init__(self):
-        if self.verdict not in ("no-violation-found", "violated"):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "violated" and not self.witnesses:
-            raise ValueError("a violated verdict must carry at least one witness")
+        if self.violation_count and not self.witnesses:
+            raise ValueError("a report with violations must carry at least one witness")
 
     @property
     def violated(self) -> bool:
-        return self.verdict == "violated"
+        return self.violation_count > 0
+
+    @property
+    def verdict(self) -> str:
+        return "violated" if self.violated else "no-violation-found"
 
 
 @dataclass(frozen=True)
@@ -262,7 +267,7 @@ def _evaluate_v(v: Expr, t: np.ndarray) -> np.ndarray:
         _locate_failure(v, t, np.zeros(1), cause, _V_FAILS)
 
 
-def _sample_grids(x_range: float, samples_t: int, samples_x: int):
+def _sample_grids(x_range: float):
     # True would pass as a box of half-width 1
     if isinstance(x_range, (bool, np.bool_)):
         raise ValueError(f"x_range must be a number, not a boolean, got {x_range!r}")
@@ -271,12 +276,8 @@ def _sample_grids(x_range: float, samples_t: int, samples_x: int):
     # the grid spans 2*x_range, which must be a float too
     if not math.isfinite(2.0 * float(x_range)):
         raise ValueError(f"x_range must be finite and 2*x_range must not overflow, got {x_range!r}")
-    if not (is_integer(samples_t) and is_integer(samples_x)) or min(samples_t, samples_x) < 2:
-        raise ValueError(
-            f"sample counts must be integers of at least 2, got {samples_t!r}, {samples_x!r}"
-        )
-    t_grid = np.linspace(0.0, 1.0, samples_t)
-    x_grid = np.linspace(-x_range, x_range, samples_x)
+    t_grid = np.linspace(0.0, 1.0, _SAMPLES_T)
+    x_grid = np.linspace(-x_range, x_range, _SAMPLES_X)
     return t_grid, x_grid
 
 
@@ -324,7 +325,6 @@ def _scan(condition, expr, t_grid, x_grid, rhs, violates) -> ConditionReport:
         count += found
     return ConditionReport(
         condition=condition,
-        verdict="violated" if count else "no-violation-found",
         witnesses=tuple(witnesses),
         violation_count=count,
         samples_t=t_grid.size,
@@ -332,21 +332,37 @@ def _scan(condition, expr, t_grid, x_grid, rhs, violates) -> ConditionReport:
     )
 
 
-def check_growth(
-    spec: ProblemSpec, x_range: float, samples_t: int = 201, samples_x: int = 2001
-) -> ConditionReport:
-    """Sample |f(t,x)| <= A|x| + B on [0,1] x [-x_range, x_range]."""
-    t_grid, x_grid = _sample_grids(x_range, samples_t, samples_x)
+def sample_range(spec: ProblemSpec) -> float:
+    """The half-width in x of the box that ``check`` samples: 2M, or 10 when A >= 1.
+
+    M is ``apriori_bound`` with sup|v| taken on 1001 points of [0, 1].
+    v is evaluated first, so where it fails this raises an EvalError
+    that names the first failing t, whatever A is.
+    """
+    v_sup = float(np.max(np.abs(_evaluate_v(spec.v, np.linspace(0.0, 1.0, 1001)))))
+    # Solutions live in [-M, M]; sample twice that box when M exists.
+    if spec.declared_A < 1.0:
+        return 2.0 * apriori_bound(spec, v_sup)
+    return 10.0
+
+
+def check_growth(spec: ProblemSpec, x_range: float) -> ConditionReport:
+    """Sample |f(t,x)| <= A|x| + B on [0,1] x [-x_range, x_range], at 201 x 2001 points.
+
+    ``sample_range(spec)`` is the x_range that ``check`` passes.
+    """
+    t_grid, x_grid = _sample_grids(x_range)
     rhs = spec.declared_A * np.abs(x_grid) + spec.declared_B
     return _scan("growth", spec.f, t_grid, x_grid, rhs, lambda f: np.abs(f, out=f) > rhs)
 
 
-def check_fx_lower(
-    spec: ProblemSpec, x_range: float, samples_t: int = 201, samples_x: int = 2001
-) -> ConditionReport:
-    """Sample f_x(t,x) >= declared_fx_lower on [0,1] x [-x_range, x_range]."""
-    t_grid, x_grid = _sample_grids(x_range, samples_t, samples_x)
-    rhs = np.full(samples_x, spec.declared_fx_lower)
+def check_fx_lower(spec: ProblemSpec, x_range: float) -> ConditionReport:
+    """Sample f_x(t,x) >= declared_fx_lower on [0,1] x [-x_range, x_range].
+
+    The box is 201 x 2001 points, as in ``check_growth``.
+    """
+    t_grid, x_grid = _sample_grids(x_range)
+    rhs = np.full(x_grid.size, spec.declared_fx_lower)
     return _scan("fx_lower", spec.fx, t_grid, x_grid, rhs, lambda fx: fx < rhs)
 
 

@@ -142,9 +142,9 @@ def test_check_fx_lower_f2_clean():
 
 def test_check_fx_lower_violated_everywhere():
     spec = make_spec("-2*x", "0", A=2.5, B=0.1, fx_lower=-1.0)
-    report = check_fx_lower(spec, x_range=10.0, samples_t=11, samples_x=101)
+    report = check_fx_lower(spec, x_range=10.0)
     assert report.violated
-    assert report.violation_count == 11 * 101
+    assert report.violation_count == 201 * 2001
     t, x, lhs, rhs = report.witnesses[0]
     assert lhs == -2.0 and rhs == -1.0
 
@@ -174,8 +174,8 @@ def test_check_rejects_a_sample_box_that_is_not_finite(check, x_range):
 
 def test_check_reports_eval_failure_with_location():
     spec = make_spec("1/(x - 1)", "0", A=0.5, B=0.5, fx_lower=-10.0)
-    with pytest.raises(EvalError, match="sample point"):
-        check_growth(spec, x_range=2.0, samples_t=3, samples_x=5)
+    with pytest.raises(EvalError, match=r"sample point \(t=0\.0, x=1\.0\)"):
+        check_growth(spec, x_range=2.0)
 
 
 def _full_box_report(spec, condition, x_range, samples_t=201, samples_x=2001):
@@ -198,6 +198,24 @@ def _full_box_report(spec, condition, x_range, samples_t=201, samples_x=2001):
     return int(np.count_nonzero(bad)), witnesses
 
 
+def _check_on_rows(check, spec, x_range, samples_t):
+    """``check``'s report, or on samples_t rows of t its scan with its own bound and test.
+
+    The checks sample 201 rows; other row counts reach block boundaries
+    that 201 rows do not, such as a whole number of 8-row blocks.
+    """
+    if samples_t == 201:
+        return check(spec, x_range)
+    t_grid = np.linspace(0.0, 1.0, samples_t)
+    x_grid = np.linspace(-x_range, x_range, 2001)
+    if check is check_growth:
+        rhs = spec.declared_A * np.abs(x_grid) + spec.declared_B
+        return problem_module._scan("growth", spec.f, t_grid, x_grid, rhs,
+                                    lambda f: np.abs(f, out=f) > rhs)
+    rhs = np.full(x_grid.size, spec.declared_fx_lower)
+    return problem_module._scan("fx_lower", spec.fx, t_grid, x_grid, rhs, lambda fx: fx < rhs)
+
+
 @pytest.mark.parametrize(
     "f, A, B, fx_lower, condition, x_range, samples_t",
     [
@@ -218,7 +236,7 @@ def _full_box_report(spec, condition, x_range, samples_t=201, samples_x=2001):
 def test_check_witnesses_and_count_match_full_box(f, A, B, fx_lower, condition, x_range, samples_t):
     spec = make_spec(f, "0", A=A, B=B, fx_lower=fx_lower)
     check = check_growth if condition == "growth" else check_fx_lower
-    report = check(spec, x_range=x_range, samples_t=samples_t)
+    report = _check_on_rows(check, spec, x_range, samples_t)
     count, witnesses = _full_box_report(spec, condition, x_range, samples_t)
     assert count > 0
     assert report.violation_count == count
@@ -247,7 +265,6 @@ def _reference_scan(condition, expr, t_grid, x_grid, rhs, violates) -> Condition
         count += found
     return ConditionReport(
         condition=condition,
-        verdict="violated" if count else "no-violation-found",
         witnesses=tuple(witnesses),
         violation_count=count,
         samples_t=t_grid.size,
@@ -423,7 +440,7 @@ def test_check_names_first_failing_point_in_a_later_block(f, failing, samples_t,
     spec = make_spec(f, "0", A=0.5, B=0.5, fx_lower=-10.0)
     t, x = _first_failure(failing, samples_t, x_range=2.0)
     with pytest.raises(EvalError) as info:
-        check(spec, x_range=2.0, samples_t=samples_t)
+        _check_on_rows(check, spec, 2.0, samples_t)
     assert str(info.value).startswith(f"evaluation failed at sample point (t={t}, x={x}): ")
 
 
@@ -554,14 +571,9 @@ def test_check_memory_stays_below_one_full_box_array(check):
 
 def test_check_rejects_bad_sampling():
     spec = make_spec("0", "0", A=0.3, B=0.2, fx_lower=-0.5)
-    with pytest.raises(ValueError):
-        check_growth(spec, x_range=-1.0)
-    # numpy's linspace would raise a TypeError for a float count
-    bad_counts = ({"samples_t": 3.0}, {"samples_x": 5.5}, {"samples_t": True}, {"samples_x": 1})
     for check in (check_growth, check_fx_lower):
-        for counts in bad_counts:
-            with pytest.raises(ValueError, match="^sample counts must be integers of at least 2"):
-                check(spec, 2.0, **counts)
+        with pytest.raises(ValueError, match="^x_range must be positive$"):
+            check(spec, x_range=-1.0)
 
 
 def test_classify_examples():
@@ -770,12 +782,21 @@ def test_replace_checks_the_spec_it_builds(change, message):
 
 
 def test_condition_report_invariant():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must carry at least one witness"):
         ConditionReport(
             condition="growth",
-            verdict="violated",
             witnesses=(),
             violation_count=3,
             samples_t=2,
             samples_x=2,
         )
+
+
+def test_condition_report_verdict_follows_its_count():
+    # no field of a report can contradict its count: the verdict is read off it
+    witness = ((0.0, 1.0, 2.0, 1.5),)
+    violated = ConditionReport("growth", witness, 5, 2, 2)
+    assert violated.violated and violated.verdict == "violated"
+    clean = ConditionReport("growth", (), 0, 2, 2)
+    assert not clean.violated and clean.verdict == "no-violation-found"
+    assert "verdict" not in {field.name for field in fields(ConditionReport)}

@@ -574,3 +574,21 @@ def test_multi_start_validates_and_propagates():
     spec = make_spec("-32*x", "1", A=32.1, B=0.1, fx_lower=-32.1)
     with pytest.raises(SolverError, match="start 0"):
         multi_start_uniqueness(spec, 4, starts=2, amplitude=1.0, seed=0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP.md item 1: the stop test ||r||_2 <= tol*(1 + sup|v|*sqrt(N)/N^2) holds at "
+    "the zero start of a constant v at large N; the change that mends it removes this marker",
+)
+@pytest.mark.parametrize("n", [10_000, 30_000])
+def test_converged_is_within_tol_of_the_discrete_solution_at_large_n(n):
+    # f = 0 and v = 1e-4: the discrete solution is v*t(t - 1)/2 exactly, by
+    # the second difference's exactness on quadratics, and its sup is 1.25e-5
+    spec = make_spec("0", "0.0001", A=0.5, B=1, fx_lower=0)
+    report = newton_solve(spec, n)
+    t = np.arange(n + 1) / n
+    exact = 1e-4 * t * (t - 1) / 2
+    x = report.solution.values
+    if report.status == CONVERGED:
+        assert np.max(np.abs(x - exact)) <= SolverConfig().tol * (1 + np.max(np.abs(x)))

@@ -14,15 +14,18 @@ f, f_x and v at the interior nodes, one Newton point
 values), the ``_residual`` and ``_jacobian`` kernels on given values,
 ``solve_tridiagonal``, one Armijo trial (a trial point, f's steps there
 and its residual) and ``GridFunction`` construction.  It counts the steps
-of the compiled f, f_x and v programs and of the joint one.  For every corpus problem it times
-``check``'s two scans, of the growth bound and of the f_x bound, on the
-box the CLI samples, and counts the steps of f and f_x by what they read:
+of the compiled f, f_x and v programs and of the joint one.  For every
+corpus problem it times ``check``'s two scans, of the growth bound and of
+the f_x bound, on the box that ``problem.sample_range`` sizes, as
+``check`` does, and counts the steps of f and f_x by what they read:
 t alone, x alone, both, or neither.  It also times the CLI in process:
 ``solve`` on those four configs at the same sizes, and ``check`` and
 ``converge`` on every config under ``configs/``.
 
-Every time is in milliseconds, the best of ``--repeat`` samples; a
-sample is the mean of as many calls as fill about 5 ms.  The file also
+Every time is in milliseconds, the best of ``--repeat`` samples, under
+``ms``; the median of the same samples is beside it, under ``ms_median``,
+so a run shows how much the host's load moved its samples.  A sample is
+the mean of as many calls as fill about 5 ms.  The file also
 records the environment the times depend on: the Python and numpy
 versions, numpy's SIMD baseline, dispatch targets and the targets found
 on this CPU, the core count, the git HEAD and whether tracked files
@@ -38,6 +41,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -60,11 +64,17 @@ SIZES = (100, 10_000, 100_000, 1_000_000)
 SAMPLE_S = 0.005
 
 
-def best_ms(fn, repeat: int) -> float:
-    """The best of ``repeat`` samples of fn's time per call, in ms."""
+def sample_ms(fn, repeat: int) -> list[float]:
+    """``repeat`` samples of fn's time per call, in ms."""
     timer = timeit.Timer(fn)
     number = max(1, int(SAMPLE_S / timer.timeit(1)))
-    return min(timer.repeat(repeat=repeat, number=number)) / number * 1e3
+    return [sample / number * 1e3 for sample in timer.repeat(repeat=repeat, number=number)]
+
+
+def times(samples: dict) -> dict:
+    """The best and the median of each name's samples, under ``ms`` and ``ms_median``."""
+    return {"ms": {key: min(ms) for key, ms in samples.items()},
+            "ms_median": {key: statistics.median(ms) for key, ms in samples.items()}}
 
 
 def environment() -> dict:
@@ -107,8 +117,8 @@ def layers(name: str, n: int, repeat: int) -> dict:
         # the steps of the compiled programs the layers below run
         "steps": {key: len(tree._program.steps)
                   for key, tree in (("f", spec.f), ("fx", spec.fx), ("v", spec.v))},
-        "ms": {"newton_solve": best_ms(lambda: solver.newton_solve(spec, n), repeat)},
     }
+    samples = {"newton_solve": sample_ms(lambda: solver.newton_solve(spec, n), repeat)}
     program = spec._program
     row["steps"]["joint"] = len(program.steps)
     values = report.solution.values
@@ -137,25 +147,26 @@ def layers(name: str, n: int, repeat: int) -> dict:
         spec._grids.clear()
         return spec._grid(n)
 
-    row["ms"].update({
-        "grid_constants": best_ms(grid_constants, repeat),
-        "f": best_ms(lambda: expr.evaluate(spec.f, t, interior), repeat),
-        "fx": best_ms(lambda: expr.evaluate(spec.fx, t, interior), repeat),
-        "v": best_ms(lambda: expr.evaluate(spec.v, t, 0.0), repeat),
-        "newton_point": best_ms(newton_point, repeat),
-        "residual": best_ms(lambda: discrete_op._residual(f_vals, v_vals, values), repeat),
-        "jacobian": best_ms(lambda: discrete_op._jacobian(fx_vals), repeat),
-        "solve_tridiagonal": best_ms(lambda: discrete_op.solve_tridiagonal(matrix, r), repeat),
-        "armijo_trial": best_ms(armijo_trial, repeat),
-        "grid_function": best_ms(lambda: grid.GridFunction(n, values), repeat),
+    samples.update({
+        "grid_constants": sample_ms(grid_constants, repeat),
+        "f": sample_ms(lambda: expr.evaluate(spec.f, t, interior), repeat),
+        "fx": sample_ms(lambda: expr.evaluate(spec.fx, t, interior), repeat),
+        "v": sample_ms(lambda: expr.evaluate(spec.v, t, 0.0), repeat),
+        "newton_point": sample_ms(newton_point, repeat),
+        "residual": sample_ms(lambda: discrete_op._residual(f_vals, v_vals, values), repeat),
+        "jacobian": sample_ms(lambda: discrete_op._jacobian(fx_vals), repeat),
+        "solve_tridiagonal": sample_ms(lambda: discrete_op.solve_tridiagonal(matrix, r), repeat),
+        "armijo_trial": sample_ms(armijo_trial, repeat),
+        "grid_function": sample_ms(lambda: grid.GridFunction(n, values), repeat),
     })
+    row.update(times(samples))
     return row
 
 
 def check_row(name: str, repeat: int) -> dict:
     """``check``'s two scans of one corpus problem, and its f and f_x steps by what they read."""
     spec = corpus.build(name)
-    x_range = cli._sample_range(spec)
+    x_range = problem.sample_range(spec)
     steps = {}
     for key, tree in (("f", spec.f), ("fx", spec.fx)):
         reads = tree._program.reads
@@ -165,10 +176,10 @@ def check_row(name: str, repeat: int) -> dict:
         "problem": name,
         "x_range": x_range,
         "steps": steps,
-        "ms": {
-            "growth": best_ms(lambda: problem.check_growth(spec, x_range), repeat),
-            "fx_lower": best_ms(lambda: problem.check_fx_lower(spec, x_range), repeat),
-        },
+        **times({
+            "growth": sample_ms(lambda: problem.check_growth(spec, x_range), repeat),
+            "fx_lower": sample_ms(lambda: problem.check_fx_lower(spec, x_range), repeat),
+        }),
     }
 
 
@@ -182,16 +193,17 @@ def cli_row(command: str, config: Path, n: int | None, out: Path, repeat: int) -
         with contextlib.redirect_stdout(io.StringIO()):
             status.append(cli.main(argv))
 
-    row = {"command": command, "config": config.stem, "n": n, "ms": best_ms(run, repeat)}
-    row["exit"] = status[-1]
-    return row
+    ms = sample_ms(run, repeat)
+    return {"command": command, "config": config.stem, "n": n, "ms": min(ms),
+            "ms_median": statistics.median(ms), "exit": status[-1]}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", required=True, help="the JSON file to write")
     parser.add_argument("--max-n", type=int, default=SIZES[-1], help="largest N to time")
-    parser.add_argument("--repeat", type=int, default=3, help="samples per time, best kept")
+    parser.add_argument("--repeat", type=int, default=3,
+                        help="samples per time, best and median kept")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
