@@ -64,6 +64,14 @@ class Tridiagonal:
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "diag", diag)
 
+    @classmethod
+    def _adopt(cls, diag: np.ndarray) -> "Tridiagonal":
+        # Takes ``diag`` as it is, with no copy and no check: a non-empty
+        # vector of finite floats
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "diag", diag)
+        return matrix
+
     @property
     def order(self) -> int:
         return self.diag.size
@@ -117,8 +125,11 @@ def jacobian(spec: ProblemSpec, x: GridFunction) -> Tridiagonal:
 
 
 def _jacobian(fx_vals) -> Tridiagonal:
-    # ``jacobian`` given f_x at the N-1 interior nodes
-    return Tridiagonal(diag=-2.0 - fx_vals / (fx_vals.size + 1) ** 2)
+    # ``jacobian`` given f_x at the N-1 interior nodes, an array of finite
+    # floats as evaluate and Newton's trapped steps return it.  The diagonal
+    # is then finite too (|f_x|/N^2 is at most a quarter of the largest
+    # double), so Tridiagonal's checks are not run again.
+    return Tridiagonal._adopt(-2.0 - fx_vals / (fx_vals.size + 1) ** 2)
 
 
 def solve_tridiagonal(matrix: Tridiagonal, rhs) -> np.ndarray:

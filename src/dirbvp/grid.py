@@ -64,6 +64,17 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
     @classmethod
+    def _adopt(cls, n: int, values: np.ndarray) -> "GridFunction":
+        # Takes ``values`` as it is, with no copy and no check, and makes it
+        # read-only: the caller's own float array of n + 1 finite entries
+        # with zero ends, which no one else holds, for a grid size n.
+        values.flags.writeable = False
+        x = object.__new__(cls)
+        object.__setattr__(x, "n", n)
+        object.__setattr__(x, "values", values)
+        return x
+
+    @classmethod
     def zeros(cls, n: int) -> "GridFunction":
         return cls(n, np.zeros(grid_size(n) + 1))
 

@@ -108,10 +108,17 @@ def newton_solve(spec: ProblemSpec, n: int, cfg: SolverConfig | None = None) -> 
     only on f, and an f_x that fails ends the solve with status eval_error.
     A tree that cannot be compiled, nested too deeply or malformed, ends it
     at the start, with eval_error and no residual norm.
+
+    The start's x is checked finite, as evaluate checks it.  A trial point
+    is not checked again: it is a finite iterate plus a finite step,
+    computed under evaluate's traps, so it is finite or the trial fails.
+    The report's solution takes the loop's own array, which has zero ends
+    and finite entries, without a copy.
     """
     cfg = cfg or SolverConfig()
+    grid_size(n)
     if cfg.initial_guess is None:
-        values = np.zeros(grid_size(n) + 1)
+        values = np.zeros(n + 1)
     elif cfg.initial_guess.n != n:
         raise ValueError(f"initial guess lives on n={cfg.initial_guess.n}, expected n={n}")
     else:
@@ -119,9 +126,11 @@ def newton_solve(spec: ProblemSpec, n: int, cfg: SolverConfig | None = None) -> 
 
     trace: list[tuple[int, float, float]] = []
 
+    # the iterate is the loop's own array, with zero ends and finite entries,
+    # and the report takes it without a copy or a check
     def report(status, values, res_norm, iterations):
         return SolveReport(
-            solution=GridFunction(n, values),
+            solution=GridFunction._adopt(n, values),
             residual_norm=res_norm,
             iterations=iterations,
             step_trace=tuple(trace),
@@ -163,8 +172,13 @@ def newton_solve(spec: ProblemSpec, n: int, cfg: SolverConfig | None = None) -> 
             lam = 1.0
             while True:
                 try:
-                    np.add(values[1:-1], lam * step, out=trial[1:-1])
-                    point = _point(program, t, trial[1:-1])
+                    # 1.0 * step == step, so the full step skips the product
+                    np.add(values[1:-1], step if lam == 1.0 else lam * step, out=trial[1:-1])
+                    # a finite iterate plus a step that solve_tridiagonal
+                    # returned finite, summed under the traps, is finite, so
+                    # the trial's point skips _point's scan
+                    point = program.template.copy()
+                    point[0], point[1] = t, trial[1:-1]
                     r_new, r_new_norm = _residual(_root(program, point, 0), v_vals, trial)
                     ok = 0.5 * r_new_norm**2 <= merit_0 + _ARMIJO_C * lam * slope
                 except _UNEVALUABLE:

@@ -450,3 +450,5 @@ def test_operator_coercivity_lower_bound():
 def test_tridiagonal_validation():
     with pytest.raises(ValueError):
         Tridiagonal(diag=[1.0, np.inf])
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        Tridiagonal(diag=[np.inf])

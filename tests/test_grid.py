@@ -134,6 +134,8 @@ def test_grid_function_validation():
     with pytest.raises(ValueError):
         GridFunction(2, [0, np.nan, 0])
     with pytest.raises(ValueError):
+        GridFunction(2, [0, -np.inf, 0])
+    with pytest.raises(ValueError):
         GridFunction(2, [0.1, 1, 0])
     with pytest.raises(ValueError):
         GridFunction(2, [0, 1, -0.3])
@@ -146,6 +148,8 @@ def test_grid_function_accessors():
     np.testing.assert_allclose(x.nodes, [0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(ValueError):
         x.values[1] = 9.0  # stored values are read-only
+    given = np.array([0.0, 1.0, 0.0])
+    assert not np.shares_memory(GridFunction(2, given).values, given)  # and a copy
 
 
 @pytest.mark.parametrize(

@@ -143,6 +143,60 @@ def test_newton_rejects_mismatched_guess():
         newton_solve(QUAD, 10, SolverConfig(initial_guess=GridFunction.zeros(8)))
 
 
+@pytest.mark.parametrize("n", [16.0, np.float64(16.0)], ids=["float", "float64"])
+@pytest.mark.parametrize("guess", [None, GridFunction.zeros(16)], ids=["zero", "guess"])
+def test_newton_rejects_a_grid_size_that_is_not_an_integer(n, guess):
+    # with a guess, 16.0 == 16 passed the guess's size test and reached numpy
+    with pytest.raises(ValueError, match="^grid size must be an integer, got "):
+        newton_solve(QUAD, n, SolverConfig(initial_guess=guess))
+
+
+def test_newton_takes_a_numpy_integer_grid_size():
+    guess = GridFunction.zeros(16)
+    for cfg in (None, SolverConfig(initial_guess=guess)):
+        report = newton_solve(QUAD, np.int64(16), cfg)
+        assert report.status == CONVERGED
+        assert np.array_equal(report.solution.values, newton_solve(QUAD, 16).solution.values)
+
+
+def _random_guess(n):
+    return random_element(n, np.random.default_rng(4), 5.0)
+
+
+@pytest.mark.parametrize(
+    "spec, n, make_guess, max_iter, status",
+    [
+        (F1_SPEC, 32, None, 100, CONVERGED),
+        (F1_SPEC, 32, _random_guess, 100, CONVERGED),
+        # the solution as the guess: converged at the start, on its values
+        (F1_SPEC, 32, lambda n: newton_solve(F1_SPEC, n).solution, 100, CONVERGED),
+        (F1_SPEC, 50, _random_guess, 1, MAX_ITER),
+        # f is singular on x = 1, so the solve ends at the start, on the guess
+        (make_spec("1/(x - 1)", "1", A=0.5, B=0.5, fx_lower=-10.0), 10,
+         lambda n: GridFunction.from_interior(np.ones(n - 1)), 100, EVAL_ERROR),
+    ],
+    ids=["zero", "random", "at_solution", "max_iter", "eval_error"],
+)
+def test_report_owns_its_solution(spec, n, make_guess, max_iter, status):
+    # the report takes the loop's array without a copy: it must be read-only
+    # and shared with neither the guess nor another solve's report
+    guess = make_guess(n) if make_guess else None
+    cfg = SolverConfig(max_iter=max_iter, initial_guess=guess)
+    first, second = newton_solve(spec, n, cfg), newton_solve(spec, n, cfg)
+    assert first.status == second.status == status
+    for report in (first, second):
+        values = report.solution.values
+        assert report.solution.n == n and not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[1] = 1.0
+        if guess is not None:
+            assert not np.shares_memory(values, guess.values)
+        # what the public constructor checks holds
+        assert np.array_equal(GridFunction(n, values).values, values)
+    assert not np.shares_memory(first.solution.values, second.solution.values)
+    assert np.array_equal(first.solution.values, second.solution.values)
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=-1.0)

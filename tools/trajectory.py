@@ -12,15 +12,17 @@ solve returns, it times each layer a Newton step runs: ``evaluate`` of
 f, f_x and v at the interior nodes, one Newton point
 (f's steps of the joint program of f and f_x, then f_x's on the same
 values), the ``_residual`` and ``_jacobian`` kernels on given values,
-``solve_tridiagonal``, one Armijo trial (a trial point, f's steps there
-and its residual) and ``GridFunction`` construction.  It counts the steps
-of the compiled f, f_x and v programs and of the joint one.  For every
-corpus problem it times ``check``'s two scans, of the growth bound and of
-the f_x bound, on the box that ``problem.sample_range`` sizes, as
-``check`` does, and counts the steps of f and f_x by what they read:
-t alone, x alone, both, or neither.  It also times the CLI in process:
-``solve`` on those four configs at the same sizes, and ``check`` and
-``converge`` on every config under ``configs/``.
+``solve_tridiagonal``, one Armijo trial (a full-step trial point, built
+from the program's template as ``newton_solve`` builds it, f's steps
+there and its residual) and public ``GridFunction`` construction.  It
+counts the steps of the compiled f, f_x and v programs and of the joint
+one.  For every corpus problem it times ``check``'s two scans, of the
+growth bound and of the f_x bound, on the box that
+``problem.sample_range`` sizes, as ``check`` does, and counts the steps
+of f and f_x by what they read: t alone, x alone, both, or neither.  It
+also times the CLI in process: ``solve`` on those four configs at the
+same sizes, and ``check`` and ``converge`` on every config under
+``configs/``.
 
 Every time is in milliseconds, the best of ``--repeat`` samples, under
 ``ms``; the median of the same samples is beside it, under ``ms_median``,
@@ -140,7 +142,8 @@ def layers(name: str, n: int, repeat: int) -> dict:
     def armijo_trial():
         with np.errstate(**expr._TRAPS):
             np.add(interior, step, out=trial[1:-1])
-            point = expr._point(program, t, trial[1:-1])
+            point = program.template.copy()
+            point[0], point[1] = t, trial[1:-1]
             return discrete_op._residual(expr._root(program, point, 0), v_vals, trial)
 
     def grid_constants():
