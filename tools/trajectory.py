@@ -5,40 +5,34 @@
 Run from the root of a dirbvp source tree; dirbvp is imported from its
 ``src`` directory.  For f1, f1_sin, f2 and f3 at N = 10^2, 10^4, 10^5
 and 10^6 (those up to ``--max-n``) it times ``newton_solve`` from zero,
-warm: the spec already keeps the grid's nodes and v there from the first
-solve.  ``grid_constants`` times a cold fill of that table entry (the
-nodes, their finiteness check, v and sup|v|).  Then, at the solution the
-solve returns, it times each layer a Newton step runs: ``evaluate`` of
-f, f_x and v at the interior nodes, one Newton point
-(f's steps of the joint program of f and f_x, then f_x's on the same
-values), the ``_residual`` and ``_jacobian`` kernels on given values,
-``solve_tridiagonal``, one Armijo trial (a full-step trial point, built
-from the program's template as ``newton_solve`` builds it, f's steps
-there and its residual) and public ``GridFunction`` construction.  It
-counts the steps of the compiled f, f_x and v programs and of the joint
-one.  For every corpus problem it times ``check``'s two scans, of the
-growth bound and of the f_x bound, on the box that
-``problem.sample_range`` sizes, as ``check`` does, and counts the steps
-of f and f_x by what they read: t alone, x alone, both, or neither.  It
-also times the CLI in process: ``solve`` on those four configs at the
-same sizes, and ``check`` and ``converge`` on every config under
-``configs/``.
+untraced and warm (the spec keeps the grid's nodes and v from the first
+solve), a cold fill of that table entry (``grid_constants``), and v at
+the nodes.  Then it runs ``--repeat`` warm solves with each name of
+``SITES`` wrapped in a span of perfbench's tracer; ``calls`` holds each
+layer's calls per solve, and ``_root`` is two layers, ``f`` and ``fx``,
+by its root index.  It counts the steps of the compiled f, f_x, v and
+joint programs.  For every corpus problem it times ``check``'s two scans
+on the box that ``problem.sample_range`` sizes, and counts f's and f_x's
+steps by what they read: t, x, both or neither.  It also times the CLI
+in process: ``solve`` on those four configs at the same sizes, and
+``check`` and ``converge`` on every config under ``configs/``.
 
-Every time is in milliseconds, the best of ``--repeat`` samples, under
-``ms``; the median of the same samples is beside it, under ``ms_median``,
-so a run shows how much the host's load moved its samples.  A sample is
-the mean of as many calls as fill about 5 ms.  The file also
-records the environment the times depend on: the Python and numpy
-versions, numpy's SIMD baseline, dispatch targets and the targets found
-on this CPU, the core count, the git HEAD and whether tracked files
-differ from it.  It is a record of where time goes, not a gate;
-``perfbench/`` holds the benchmark with its correctness checks.
+Every time is in milliseconds: the best of its samples under ``ms``, and
+their median, which shows how much the host's load moved them, under
+``ms_median``.  A layer's samples are its calls in the traced solves;
+any other time has ``--repeat`` samples, each the mean of as many calls
+as fill about 5 ms.  The file also records the environment the times
+depend on: the Python and numpy versions, numpy's SIMD baseline,
+dispatch targets and the targets found on this CPU, the core count, the
+git HEAD and whether tracked files differ from it.  It is a record of
+where time goes, not a gate; ``perfbench/`` holds the benchmark.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -59,11 +53,19 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from dirbvp import cli, corpus, discrete_op, expr, grid, problem, solver  # noqa: E402
+from dirbvp import cli, corpus, expr, problem, solver  # noqa: E402
+
+_tracing_spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                       ROOT / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_tracing_spec)
+_tracing_spec.loader.exec_module(tracing)
 
 PROBLEMS = ("f1", "f1_sin", "f2", "f3")
 SIZES = (100, 10_000, 100_000, 1_000_000)
 SAMPLE_S = 0.005
+# (module, attribute): the names newton_solve looks up, which traced() wraps
+SITES = [("dirbvp.solver", attr) for attr in
+         ("_point", "_root", "_residual", "_jacobian", "solve_tridiagonal", "GridFunction")]
 
 
 def sample_ms(fn, repeat: int) -> list[float]:
@@ -107,63 +109,60 @@ def environment() -> dict:
     }
 
 
+@contextlib.contextmanager
+def traced():
+    """Within the block, each name of SITES records a span per call on the tracer it yields."""
+    tracer = tracing.Tracer()
+    modules = {name: importlib.import_module(name) for name, _ in SITES}
+    originals = [(modules[name], attr, getattr(modules[name], attr)) for name, attr in SITES]
+    try:
+        for module, attr, original in originals:
+            if attr == "_root":  # root 0 runs f's steps, root 1 f_x's
+                roots = [tracer.span(layer, original) for layer in ("f", "fx")]
+                replacement = lambda program, env, k, roots=roots: roots[k](program, env, k)  # noqa: E731
+            elif isinstance(original, type):
+                replacement = tracing._ClassProxy(original, lambda fn, attr=attr: tracer.span(attr, fn))
+            else:
+                replacement = tracer.span(attr, original)
+            setattr(module, attr, replacement)
+        yield tracer
+    finally:
+        for module, attr, original in originals:
+            setattr(module, attr, original)
+
+
 def layers(name: str, n: int, repeat: int) -> dict:
-    """newton_solve from zero, then each layer at the solution it returns."""
+    """newton_solve from zero, untraced, then its layers per call in ``repeat`` traced solves."""
     spec = corpus.build(name)
     report = solver.newton_solve(spec, n)
-    row = {
-        "problem": name,
-        "n": n,
-        "status": report.status,
-        "iterations": report.iterations,
-        # the steps of the compiled programs the layers below run
-        "steps": {key: len(tree._program.steps)
-                  for key, tree in (("f", spec.f), ("fx", spec.fx), ("v", spec.v))},
-    }
-    samples = {"newton_solve": sample_ms(lambda: solver.newton_solve(spec, n), repeat)}
-    program = spec._program
-    row["steps"]["joint"] = len(program.steps)
-    values = report.solution.values
-    t, v_vals, _ = spec._grid(n)
-    interior = values[1:-1]
-    f_vals = expr.evaluate(spec.f, t, interior)
-    fx_vals = expr.evaluate(spec.fx, t, interior)
-    r, _ = discrete_op._residual(f_vals, v_vals, values)
-    matrix = discrete_op._jacobian(fx_vals)
-    step = discrete_op.solve_tridiagonal(matrix, -r)
-    trial = np.zeros(n + 1)
-
-    def newton_point():
-        with np.errstate(**expr._TRAPS):
-            point = expr._point(program, t, interior)
-            expr._root(program, point, 0)
-            return expr._root(program, point, 1)
-
-    def armijo_trial():
-        with np.errstate(**expr._TRAPS):
-            np.add(interior, step, out=trial[1:-1])
-            point = program.template.copy()
-            point[0], point[1] = t, trial[1:-1]
-            return discrete_op._residual(expr._root(program, point, 0), v_vals, trial)
+    t = spec._grid(n)[0]
 
     def grid_constants():
         spec._grids.clear()
         return spec._grid(n)
 
-    samples.update({
+    samples = {
+        "newton_solve": sample_ms(lambda: solver.newton_solve(spec, n), repeat),
         "grid_constants": sample_ms(grid_constants, repeat),
-        "f": sample_ms(lambda: expr.evaluate(spec.f, t, interior), repeat),
-        "fx": sample_ms(lambda: expr.evaluate(spec.fx, t, interior), repeat),
         "v": sample_ms(lambda: expr.evaluate(spec.v, t, 0.0), repeat),
-        "newton_point": sample_ms(newton_point, repeat),
-        "residual": sample_ms(lambda: discrete_op._residual(f_vals, v_vals, values), repeat),
-        "jacobian": sample_ms(lambda: discrete_op._jacobian(fx_vals), repeat),
-        "solve_tridiagonal": sample_ms(lambda: discrete_op.solve_tridiagonal(matrix, r), repeat),
-        "armijo_trial": sample_ms(armijo_trial, repeat),
-        "grid_function": sample_ms(lambda: grid.GridFunction(n, values), repeat),
-    })
-    row.update(times(samples))
-    return row
+    }
+    with traced() as tracer:
+        for _ in range(repeat):
+            solver.newton_solve(spec, n)
+    for *_, layer, start, end in tracer.spans:
+        samples.setdefault(layer, []).append((end - start) * 1e3)
+    programs = (("f", spec.f._program), ("fx", spec.fx._program), ("v", spec.v._program),
+                ("joint", spec._program))
+    return {
+        "problem": name,
+        "n": n,
+        "status": report.status,
+        "iterations": report.iterations,
+        # the steps of the compiled programs the solve runs
+        "steps": {key: len(program.steps) for key, program in programs},
+        "calls": {layer: total["calls"] / repeat for (_, layer), total in tracer.totals.items()},
+        **times(samples),
+    }
 
 
 def check_row(name: str, repeat: int) -> dict:
