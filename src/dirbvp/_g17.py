@@ -4,17 +4,28 @@ Python formats one value at a time, at about 1 µs a row.  This module
 writes the same bytes from whole arrays:
 
 1. Digits.  For |v| in [1e-280, 1e16), the correctly rounded 17-digit
-   significand D and decimal exponent X come from |v|·10^s, formed as a
-   double-double product (Dekker's split, so no fused multiply-add is
-   needed) against 10^s = hi + lo, with s = 16 - floor(log10|v|).  A
-   product outside [1e16, 1e17) moves s by one; a D rounded up to 1e17
-   carries into X.  The product is good to about 1e-14 of a unit of D, so
-   only a fraction within ``_TIE_MARGIN`` of one half is left undecided.
-2. Text.  D is spelled through a table of 4-digit strings, and one gather
-   from a layout table indexed by (sign, notation, significant digits)
-   places the sign, zeros, dot and exponent in a field of NUL padding.
-3. Fallback.  Zeros, non-finite values, |v| outside that range and
-   near-ties are written by Python's ``'%.17g'`` into their own fields.
+   significand D = d0 d1 ... d16 and decimal exponent X come from
+   |v|·10^s, formed as a double-double product (Dekker's split, so no
+   fused multiply-add is needed) against 10^s = hi + lo, with
+   s = 16 - floor(log10|v|).  A product outside [1e16, 1e17) moves s by
+   one; a D rounded up to 1e17 carries into X.  The product is good to
+   about 1e-14 of a unit of D, so only a fraction within ``_TIE_MARGIN``
+   of one half is left undecided.  Zeros take D = 0 and X = 0.
+2. Text.  A value's field is four 8-byte words, each one table lookup
+   keyed by small integers, and NUL bytes pad each word:
+   - the prefix: the comma, the sign, then d0 and the dot, or ``0.``,
+     zeros and d0 for X = -4..-1, keyed by X's notation, the sign,
+     whether a dot follows d0, and d0;
+   - two words of d1..d16 from a table of 4-digit strings, ANDed with a
+     mask keyed by the number of digits kept;
+   - the exponent word, ``e-05`` to ``e-281`` or nothing, keyed by X;
+     the x column's also ends the row with the newline.
+   For X = 1..15 (10 <= |v| < 1e16) the dot falls among d1..d15, so for
+   those values alone the digit words move up one byte from d(X+1) on,
+   the dot (or a NUL) goes in the gap, and the digit shifted out lands
+   in the first byte of the exponent word, ahead of the newline.
+3. Fallback.  Non-finite values, nonzero |v| outside [1e-280, 1e16) and
+   near-ties are written by Python's ``'%.17g'`` into their own words.
 
 Deleting the NUL bytes of a whole block of rows then leaves the CSV text.
 """
@@ -22,6 +33,7 @@ Deleting the NUL bytes of a whole block of rows then leaves the CSV text.
 from __future__ import annotations
 
 import functools
+import sys
 
 import numpy as np
 
@@ -31,81 +43,94 @@ _LOW, _HIGH = 1e-280, 1e16
 _S_MAX = 16 + 281 + 1  # largest s in use: 16 - floor(log10(1e-280)), plus the fix
 _TIE_MARGIN = 2.0**-30
 _SPLIT = 134217729.0  # 2^27 + 1
-_WIDTH = 24  # widest '%.17g' text, as in -2.2250738585072014e-308
-
-# Bytes of a value's source words: 0-19 the digits of D, zero-padded to 20
-# (digit j at 3 + j), 20-23 |X| zero-padded to 4, then the constant bytes.
-_DIGIT0 = 3
-_EXPONENT = (21, 22, 23)
-_MINUS, _ZERO, _DOT, _E, _PAD = 24, 25, 26, 27, 28
-_CONSTANTS = np.frombuffer(b"-0.e\0\0\0\0", dtype=np.uint64)[0]
-_SOURCE_WORDS = 8
-# notations: fixed for X = -4..16 (index X + 4), then scientific with a
-# two- and a three-digit exponent
-_SCI2, _SCI3 = 21, 22
-_NOTATIONS = 23
+# X of the values in range: fl(1e-280) spells 9.9999999999999996e-281
+_X_MIN, _X_MAX = -281, 15
+# prefix classes: d0 first, then "0." and X = -1..-4 leading zeros, then d0
+# alone for X = 1..15, whose dot goes among the digit words
+_D0_FIRST, _INNER_DOT = 0, 5
+_LITTLE = sys.byteorder == "little"
 
 
-def _layout(negative: bool, notation: int, nsig: int) -> list[int]:
-    """Source bytes of the text of a value with this sign, notation and digit count."""
-    digits = [_DIGIT0 + j for j in range(nsig)]
-    text = [_MINUS] if negative else []
-    if notation < _SCI2:
-        x = notation - 4
-        if x >= 0:
-            text += [_DIGIT0 + j for j in range(x + 1)]
-            if nsig > x + 1:
-                text += [_DOT] + digits[x + 1 :]
-        else:
-            text += [_ZERO, _DOT] + [_ZERO] * (-x - 1) + digits
+def _words(texts) -> np.ndarray:
+    """Each byte string NUL-padded to 8 bytes, as one native 64-bit word."""
+    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), dtype=np.uint64)
+
+
+def _later(words: np.ndarray, nbytes: int) -> np.ndarray:
+    """``words`` with each byte moved ``nbytes`` places toward the word's end in memory."""
+    return words << 8 * nbytes if _LITTLE else words >> 8 * nbytes
+
+
+def _earlier(words: np.ndarray, nbytes: int) -> np.ndarray:
+    """``words`` with each byte moved ``nbytes`` places toward the word's start."""
+    return words >> 8 * nbytes if _LITTLE else words << 8 * nbytes
+
+
+def _prefix(notation: int, negative: bool, dot: bool, d0: int) -> bytes:
+    sign = b"-" if negative else b""
+    if notation in (_D0_FIRST, _INNER_DOT):
+        body = b"%d" % d0 + (b"." if dot and notation == _D0_FIRST else b"")
     else:
-        text += digits[:1] + ([_DOT] + digits[1:] if nsig > 1 else [])
-        text += [_E, _MINUS] + list(_EXPONENT[notation == _SCI2 :])
-    return text + [_PAD] * (_WIDTH - len(text))
+        body = b"0." + b"0" * (notation - 1) + b"%d" % d0
+    return b"," + sign + body
 
 
 @functools.cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _tables() -> dict[str, np.ndarray]:
     """The kernel's read-only tables, built on first use rather than at import.
 
-    - powers: row s holds 10^s = hi + lo, with hi split into two halves of
-      26 bits, as (hi, hi_hi, hi_lo, lo);
-    - digits4: entry c is the four ASCII digits of c, zero-padded, as one
-      native 32-bit word;
+    - powers: column s holds 10^s = hi + lo, with hi split into two halves
+      of 26 bits, as (hi, hi_hi, hi_lo, lo);
+    - first4, second4: entry c is the four ASCII digits of c, zero-padded,
+      in the first or the second half of a native 64-bit word;
     - trailing4: entry c counts the trailing zeros of those four digits;
-    - layouts: row (negative·_NOTATIONS + notation)·18 + nsig is ``_layout``.
+    - prefixes: entry ((notation·2 + negative)·2 + dot)·10 + d0 is
+      ``_prefix`` of those keys, as one word;
+    - notations: entry X - _X_MIN is the prefix notation of X, times 40;
+    - keep: entry [j, m] keeps digit word j's share of the first m of the
+      16 digit bytes;
+    - exponents: entry X - _X_MIN is the exponent word of the t column,
+      and the next ``_X_MAX + 1 - _X_MIN`` entries those of the x column;
+    - dots: entry [j, p] is digit word j's share of a dot at digit byte p
+      (none at p = 16).
     """
     exact = [10**s for s in range(_S_MAX + 1)]
     hi = np.array([float(p) for p in exact])
     lo = np.array([float(p - int(float(p))) for p in exact])
     big = _SPLIT * hi
     hi_hi = big - (big - hi)
-    powers = np.stack([hi, hi_hi, hi - hi_hi, lo], axis=1)
+    powers = np.stack([hi, hi_hi, hi - hi_hi, lo])
 
-    c = np.arange(10000)
+    c = np.arange(10000, dtype=np.uint16)
     text = np.stack([c // 1000, c // 100 % 10, c // 10 % 10, c % 10], axis=1)
     text = (text + ord("0")).astype(np.uint8)
-    digits4 = text.view(np.uint32).ravel()
-    trailing4 = np.cumprod(text[:, ::-1] == ord("0"), axis=1).sum(axis=1)
+    halves = np.zeros((2, 10000, 2), dtype=np.uint32)
+    halves[0, :, 0] = halves[1, :, 1] = text.view(np.uint32).ravel()
+    first4, second4 = halves.view(np.uint64).reshape(2, 10000)
+    trailing4 = np.cumprod(text[:, ::-1] == ord("0"), axis=1).sum(axis=1).astype(np.uint8)
 
-    layouts = np.array(
-        [
-            _layout(negative, notation, nsig) if nsig else [_PAD] * _WIDTH
-            for negative in (False, True)
-            for notation in range(_NOTATIONS)
-            for nsig in range(18)
-        ],
-        dtype=np.intp,
-    )
-    tables = (powers, digits4, trailing4, layouts)
-    for table in tables:
+    prefixes = _words([_prefix(notation, negative, dot, d0)
+                       for notation in range(6) for negative in (False, True)
+                       for dot in (False, True) for d0 in range(10)])
+    x = np.arange(_X_MIN, _X_MAX + 1)
+    notations = 40 * np.select([x < -4, x < 0, x == 0], [_D0_FIRST, -x, _D0_FIRST], _INNER_DOT)
+    keep = np.stack([_words(b"\xff" * min(max(m - j, 0), 8) for m in range(17))
+                     for j in (0, 8)])
+    exponents = _words([b"" if e >= -4 else b"e%+03d" % e for e in x]
+                       + [b"\0\n" if e >= -4 else b"e%+03d\n" % e for e in x])
+    dots = np.stack([_words(b"\0" * (p - j) + b"." if j <= p < j + 8 else b"" for p in range(17))
+                     for j in (0, 8)])
+    tables = dict(powers=powers, first4=first4, second4=second4, trailing4=trailing4,
+                  prefixes=prefixes, notations=notations, keep=keep, exponents=exponents,
+                  dots=dots)
+    for table in tables.values():
         table.flags.writeable = False
     return tables
 
 
 def _scaled(powers: np.ndarray, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a·10^s as a double-double (hi, lo), with hi = fl(hi + lo)."""
-    hi, hi_hi, hi_lo, lo = np.take(powers, s, axis=0).T
+    hi, hi_hi, hi_lo, lo = np.take(powers, s, axis=1)
     big = _SPLIT * a
     a_hi = big - (big - a)
     a_lo = a - a_hi
@@ -123,13 +148,13 @@ def _outside(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return below, above
 
 
-def _fields(values: np.ndarray) -> np.ndarray:
-    """Each value as its '%.17g' text, NUL-padded to ``_WIDTH`` bytes."""
-    powers, digits4, trailing4, layouts = _tables()
-    n = values.size
+def _digits(values: np.ndarray, powers: np.ndarray):
+    """D, X and the mask of values they spell, for |values| in range or zero."""
     a = np.abs(values)
     fast = (a >= _LOW) & (a < _HIGH)
+    zero = a == 0.0
     a = np.where(fast, a, 1.0)
+    fast |= zero
 
     s = 16 - np.floor(np.log10(a)).astype(np.intp)
     hi, lo = _scaled(powers, a, s)
@@ -150,60 +175,103 @@ def _fields(values: np.ndarray) -> np.ndarray:
     carry = d == 10**17
     d[carry] = 10**16
     exponent[carry] += 1
+    np.subtract(d, 10**16, out=d, where=zero)  # 1.0 spelled 1e16 with X = 0
+    return d, exponent, fast
 
-    source = np.empty((n, _SOURCE_WORDS), dtype=np.uint32)
-    chunks = []  # of D, lowest first
-    for word in range(4, -1, -1):
-        q = d // 10000  # faster than np.divmod, which divides twice
-        chunks.append(d - q * 10000)
-        source[:, word] = digits4[chunks[-1]]
-        d = q
-    source[:, 5] = digits4[np.minimum(np.abs(exponent), 9999)]
-    source.view(np.uint64)[:, 3] = _CONSTANTS
-    source = source.view(np.uint8)
 
-    # trailing zeros of D: a higher chunk matters only where the lower ones are 0
-    trailing = trailing4[chunks[0]]
-    zero = np.flatnonzero(chunks[0] == 0)
-    for chunk in chunks[1:]:
+def _fields(values: np.ndarray, fields: np.ndarray) -> None:
+    """Write the comma-led field of each value into ``fields``.
+
+    ``values`` holds the t column, then the x column; ``fields`` is a
+    (2, rows, 4) view of 64-bit words, and the x column's last word ends
+    the row.
+    """
+    tables = _tables()
+    d, exponent, fast = _digits(values, tables["powers"])
+    count = fields.shape[1]
+
+    high = d // 10**8  # d0 and d1..d8, then d9..d16: 32-bit from here on
+    low = (d - high * 10**8).astype(np.uint32)
+    high = high.astype(np.uint32)
+    d0 = high // 10**8
+    high -= d0 * 10**8
+    chunks = []  # d1..d4, d5..d8, d9..d12, d13..d16
+    for part in (high, low):
+        top = part // 10000
+        chunks += [top, part - top * 10000]
+
+    # m = digits kept after d0: a higher chunk matters only where the lower ones are 0
+    m = 16 - np.take(tables["trailing4"], chunks[3])
+    zero = np.flatnonzero(chunks[3] == 0)
+    for chunk in chunks[2::-1]:
         if not zero.size:
             break
-        trailing[zero] += trailing4[chunk[zero]]
+        m[zero] -= np.take(tables["trailing4"], chunk[zero])
         zero = zero[chunk[zero] == 0]
-    notation = np.where(exponent >= -4, exponent + 4,
-                        np.where(exponent >= -99, _SCI2, _SCI3))
-    key = (np.signbit(values) * _NOTATIONS + notation) * 18 + (17 - trailing)
-    index = np.take(layouts, key, axis=0)
-    index += (np.arange(n) * source.shape[1])[:, None]
-    fields = source.ravel()[index]
+
+    index = exponent - _X_MIN
+    key = np.take(tables["notations"], index) + d0
+    key += 20 * np.signbit(values) + 10 * (m > 0)
+    prefix = np.take(tables["prefixes"], key)
+    index[count:] += _X_MAX + 1 - _X_MIN  # the x column's words end in the newline
+    ending = np.take(tables["exponents"], index)
+
+    inner = np.flatnonzero(exponent > 0)
+    if inner.size:
+        p = exponent[inner]
+        at = np.where(m[inner] > p, p, 16)  # the dot's digit byte, if any
+        m[inner] = np.maximum(m[inner], p)  # every digit before the dot
+    digits = []
+    for j in (0, 1):
+        word = np.take(tables["first4"], chunks[2 * j])
+        word |= np.take(tables["second4"], chunks[2 * j + 1])
+        word &= np.take(tables["keep"][j], m)
+        digits.append(word)
+    if inner.size:
+        # move the digit bytes from byte p on up by one, through both words
+        # into the exponent word, and put the dot in the gap
+        carry = 0
+        for j, word in enumerate(digits):
+            split, dot = np.take(tables["keep"][j], p), np.take(tables["dots"][j], at)
+            kept = word[inner]
+            moving = kept & ~split
+            word[inner] = (kept & split) | dot | carry | _later(moving, 1)
+            carry = _earlier(moving, 7)
+        ending[inner] |= carry
+
+    for j, word in enumerate((prefix, *digits, ending)):
+        fields[0, :, j] = word[:count]
+        fields[1, :, j] = word[count:]
 
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = "".join(map("%-24.17g".__mod__, values[slow].tolist())).encode("ascii")
-        padded = np.frombuffer(text, dtype=np.uint8).reshape(slow.size, _WIDTH)
-        fields[slow] = np.where(padded == ord(" "), 0, padded)
-    return fields
+        column, row = np.divmod(slow, count)
+        text = "".join((",%-31.17g", ",%-30.17g\n")[c] % v
+                       for c, v in zip(column.tolist(), values[slow].tolist()))
+        padded = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        padded = np.where(padded == ord(" "), 0, padded).view(np.uint64)
+        fields[column, row] = padded.reshape(slow.size, 4)
 
 
-def _integers(first: int, count: int) -> np.ndarray:
-    """first, first + 1, ... as right-aligned ASCII digits behind NUL padding."""
-    digits4 = _tables()[1]
+def _integers(first: int, words: np.ndarray) -> None:
+    """Write first, first + 1, ... into the rows of ``words``, right-aligned behind NULs."""
+    tables = _tables()
+    count, width = words.shape
     last = first + count - 1
-    width = len(str(last))
-    words = -(-width // 4)
     k = np.arange(first, first + count, dtype=np.int64)
-    source = np.empty((count, words), dtype=np.uint32)
-    for word in range(words - 1, -1, -1):
+    for j in range(width - 1, -1, -1):
         q = k // 10000
-        source[:, word] = digits4[k - q * 10000]
-        k = q
-    text = source.view(np.uint8)
+        low = k - q * 10000
+        k = q // 10000
+        words[:, j] = np.take(tables["first4"], q - k * 10000) | np.take(tables["second4"], low)
     # the numbers are consecutive: blank the leading zeros of each digit count
-    for ndigits in range(len(str(first)), width + 1):
+    for ndigits in range(len(str(first)), len(str(last)) + 1):
         lo = max(10 ** (ndigits - 1) if ndigits > 1 else 0, first) - first
         hi = min(10**ndigits, last + 1) - first
-        text[lo:hi, : 4 * words - ndigits] = 0
-    return text
+        for j in range(width):
+            blank = min(max(8 * (width - j) - ndigits, 0), 8)
+            if blank:
+                words[lo:hi, j] &= ~tables["keep"][0][blank]
 
 
 def csv_rows(first: int, t, x) -> str:
@@ -212,13 +280,9 @@ def csv_rows(first: int, t, x) -> str:
     Every float reads exactly as ``'%.17g' % value`` would write it.
     """
     count = len(t)
-    fields = _fields(np.concatenate([t, x], dtype=np.float64))
-    k = _integers(first, count)
-    width = k.shape[1]
-    rows = np.empty((count, width + 2 * _WIDTH + 3), dtype=np.uint8)
-    rows[:, :width] = k
-    rows[:, width] = rows[:, width + _WIDTH + 1] = ord(",")
-    rows[:, width + 1 : width + _WIDTH + 1] = fields[:count]
-    rows[:, width + _WIDTH + 2 : -1] = fields[count:]
-    rows[:, -1] = ord("\n")
+    kwords = -(-len(str(first + count - 1)) // 8)
+    rows = np.empty((count, kwords + 8), dtype=np.uint64)
+    _integers(first, rows[:, :kwords])
+    values = np.concatenate([t, x], dtype=np.float64)
+    _fields(values, rows[:, kwords:].reshape(count, 2, 4).transpose(1, 0, 2))
     return rows.tobytes().translate(None, b"\0").decode("ascii")

@@ -49,6 +49,17 @@ fx_lower = 0.0
 N = 10
 """
 
+# a solution that reaches |x| = 48.7, past 10
+LARGE_X_CONFIG = """\
+name = large_x
+f = x/4
+v = 400
+A = 0.5
+B = 1
+fx_lower = 0.25
+N = 10
+"""
+
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -262,13 +273,14 @@ def test_solve_closed_form_row(tmp_path, capsys):
     assert "status: converged" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("text", [F1_CONFIG, F1_SIN_CONFIG, QUAD_CONFIG],
-                         ids=["f1", "f1_sin", "quadratic"])
+@pytest.mark.parametrize("text", [F1_CONFIG, F1_SIN_CONFIG, QUAD_CONFIG, LARGE_X_CONFIG,
+                                  (CONFIGS / "zero.txt").read_text()],
+                         ids=["f1", "f1_sin", "quadratic", "large_x", "zero"])
 def test_solve_csv_matches_per_row_format(tmp_path, capsys, text):
     # the CSV is written in blocks of 4096 rows; it must equal the per-value
     # format(..., ".17g") rendering byte for byte, in a file and on stdout.
     # Three full blocks take k past 9999, and the last block is the one row
-    # k = N, whose x = 0 is written by the kernel's fallback.
+    # k = N, whose x = 0 is spelled like every other value.
     n = 3 * 4096
     assert cli._CSV_BLOCK_ROWS == 4096
     config = load_config(write(tmp_path, re.sub(r"(?m)^N = \d+$", f"N = {n}", text)))
@@ -281,6 +293,9 @@ def test_solve_csv_matches_per_row_format(tmp_path, capsys, text):
     if text is QUAD_CONFIG:
         # x = -t(1 - t): negative, and below 1e-4 in size next to the ends
         assert ",-8.13" in expected and "e-05\n" in expected
+    if text is LARGE_X_CONFIG:
+        # the dot falls after the second digit of x
+        assert np.max(np.abs(solution.values)) > 48.7 and ",-48.7" in expected
     out = tmp_path / "solution.csv"
     assert run("solve", config, output=str(out)) == 0
     assert_same_text(out.read_text(), expected)

@@ -4,25 +4,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirbvp import _g17
 from dirbvp._g17 import csv_rows
 
 
-def reference_fields(values: np.ndarray) -> np.ndarray:
-    text = "".join(map("%-24.17g".__mod__, values.tolist())).encode("ascii")
-    padded = np.frombuffer(text, dtype=np.uint8).reshape(values.size, 24)
-    return np.where(padded == ord(" "), 0, padded)
-
-
 def assert_spelled(values) -> None:
+    """Each value reads as '%.17g' writes it, in the t and in the x column."""
     values = np.asarray(values, dtype=np.float64)
-    # blocks as the CSV writer uses them keep the kernel's temporaries small
-    got = np.concatenate([_g17._fields(values[lo : lo + 4096])
-                          for lo in range(0, values.size, 4096)])
-    bad = np.flatnonzero((got != reference_fields(values)).any(axis=1))
-    assert bad.size == 0, [
-        (float(values[i]), got[i].tobytes().rstrip(b"\0"), "%.17g" % values[i]) for i in bad[:5]
-    ]
+    # blocks as the CSV writer uses them keep the kernel's temporaries small;
+    # the x column takes each block reversed
+    for lo in range(0, values.size, 4096):
+        t = values[lo : lo + 4096]
+        x = t[::-1]
+        got = csv_rows(lo, t, x).splitlines(keepends=True)
+        expected = list(map("%d,%.17g,%.17g\n".__mod__,
+                            zip(range(lo, lo + t.size), t.tolist(), x.tolist())))
+        assert len(got) == len(expected)
+        bad = [(row, want) for row, want in zip(got, expected) if row != want]
+        assert not bad, bad[:5]
 
 
 def neighbours(centres, steps: int) -> np.ndarray:
@@ -82,9 +80,34 @@ def test_ties_round_to_even():
     assert_spelled(np.concatenate([values, -values]))
 
 
+def test_dot_among_the_digits():
+    # 10 <= |v| < 1e16: the dot falls among d1..d15, so the digit words
+    # move up one byte from there, into the exponent word
+    values = [10.0, 99.99999999999999, 100.0, 123456789012345.0, 9999999999999998.0, 1e15 + 0.5]
+    assert_spelled(values + [-v for v in values])
+
+
+def test_each_inner_exponent_with_each_digit_count():
+    digits = "12345678923456789"
+    values = [float(f"{digits[0]}.{digits[1:nsig]}e{x}")
+              for x in range(1, 16) for nsig in range(1, 18)]
+    assert_spelled(values + [-v for v in values])
+
+
+def test_pinned_spellings():
+    # fl(1e-280), the least value in range, has the exponent -281
+    assert (csv_rows(0, [1e-280], [-1e-280])
+            == "0,9.9999999999999996e-281,-9.9999999999999996e-281\n")
+    # the digit moved out by the dot comes before the x column's newline
+    assert csv_rows(7, [1e15 + 0.5], [1e15 + 0.5]) == "7,1000000000000000.5,1000000000000000.5\n"
+    assert csv_rows(7, [0.5], [-123456789.12345679]) == "7,0.5,-123456789.12345679\n"
+    assert csv_rows(8, [0.0], [-0.0]) == "8,0,-0\n"
+
+
 def test_rows_across_digit_counts():
     rng = np.random.default_rng(7)
-    for first, count in ((0, 12), (9990, 20), (99_998, 5), (999_990, 30), (12_345_670, 3)):
+    for first, count in ((0, 12), (9990, 20), (99_998, 5), (999_990, 30), (12_345_670, 3),
+                         (99_999_998, 4)):
         t = rng.normal(size=count) * rng.choice([1e-300, 1e-7, 1.0, 1e20], size=count)
         x = -np.abs(rng.normal(size=count)) * 1e-6
         expected = "".join(map("%d,%.17g,%.17g\n".__mod__,
